@@ -23,7 +23,7 @@ groups in forked worker processes, rendezvousing at sync barriers for
 directory replay and push delivery. **Determinism note:** the sharded
 engine is worker-count invariant — any N produces bit-for-bit the same
 result — but it is *not* bit-identical to the serial run (``--workers
-1``, the default, which runs ``CityMesh.run`` untouched): the serial
+1``, the default, which runs ``CityMesh.run``): the serial
 mesh interleaves one RNG stream across all corridors in global event
 order, which sharding by design does not reproduce. Compare sharded
 runs with sharded runs, serial with serial. See docs/PERFORMANCE.md.

@@ -53,7 +53,12 @@ from .pool import ResponsePool, TriggerWindow
 from .corridor import CityCorridor, CorridorResult, CorridorStation
 from .directory import IdentityDirectory, SightingFix
 from .mesh import CityMesh, MeshEdge, MeshNode, MeshResult, downtown_grid
-from .parallel import ShardedMeshResult, interference_groups, run_sharded
+from .parallel import (
+    ShardedMeshResult,
+    ShardWorkerError,
+    interference_groups,
+    run_sharded,
+)
 
 __all__ = [
     "BackhaulConfig",
@@ -83,6 +88,7 @@ __all__ = [
     "MeshResult",
     "downtown_grid",
     "ShardedMeshResult",
+    "ShardWorkerError",
     "interference_groups",
     "run_sharded",
 ]

@@ -50,7 +50,9 @@ ledger, and the car simply re-decodes wherever it actually went.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -160,6 +162,69 @@ class _RoutedCar:
     speed_m_s: float
     lane_y_m: float
     leg: int = 0
+
+
+@dataclass(frozen=True)
+class _Admission:
+    """One car entering one edge: everything an engine needs to admit it."""
+
+    t_s: float
+    edge: str
+    leg: int
+    transponder: object
+    speed_m_s: float
+    lane_y_m: float
+
+    @property
+    def label(self) -> str:
+        first = f"car{self.transponder.tag_id}-enter"
+        return first if self.leg == 0 else f"{first}-{self.edge}"
+
+
+def _schedule_admissions(
+    scheduler: EventScheduler, admissions: list[_Admission], edges: dict[str, MeshEdge]
+) -> None:
+    """Plant the admissions onto ``edges`` (a subset of the mesh's) on
+    ``scheduler``, in itinerary order — so same-time admissions keep
+    the order the itinerary executed them in."""
+    for adm in admissions:
+        edge = edges.get(adm.edge)
+        if edge is not None:
+            scheduler.schedule(adm.t_s, partial(_admit, edge, adm), label=adm.label)
+
+
+def _admit(edge: MeshEdge, adm: _Admission, scheduler: EventScheduler) -> None:
+    """A car enters an edge: a fresh constant-speed leg from its entry."""
+    trajectory = ConstantSpeedTrajectory(
+        start_m=np.array([edge.entry_x_m, adm.lane_y_m, 1.0]),
+        velocity_m_s=np.array([adm.speed_m_s, 0.0, 0.0]),
+        t0_s=scheduler.now_s,
+    )
+    tag = MovingTag(transponder=adm.transponder, trajectory=trajectory)
+    edge.corridor.admit(tag, scheduler, scheduler.now_s)
+
+
+def _plant_push(
+    stations: dict[str, CorridorStation],
+    intent: tuple,
+    now_s: float,
+    ledger: HandoffLedger,
+    obs,
+) -> None:
+    """Plant one push intent into its live target cache at ``now_s``
+    (sighting time when wired; link delivery time when batched; the
+    rendezvous of the owning shard when sharded — the entry's age and
+    the ledger record follow the moment the pole actually learned of
+    it). A pole that already knows or already holds a push for the tag
+    is skipped."""
+    target_name, from_station, tag_id, cfo_hz, _t_emit, eta_s = intent
+    target = stations[target_name]
+    if tag_id in target.identities or tag_id in target.pushed:
+        return
+    target.receive_push(cfo_hz, tag_id, from_station=from_station, now_s=now_s)
+    ledger.record_push(target_name, from_station, tag_id, now_s, cfo_hz, eta_s=eta_s)
+    if obs is not None:
+        obs.count("mesh.push", station=target_name)
 
 
 @dataclass
@@ -332,7 +397,11 @@ class CityMesh:
         self.ledger = HandoffLedger()
         self.backhaul = backhaul
         self._plane: BackhaulPlane | None = None
-        self._station_objs: dict[str, CorridorStation] = {}
+        #: The station index, built once per run by :meth:`_start`.
+        self._stations: dict[str, CorridorStation] = {}
+        self._station_edge: dict[str, str] = {}
+        self._check_live = True
+        self._deliver_push = None
         self.nodes: dict[str, MeshNode] = {}
         self.edges: dict[str, MeshEdge] = {}
         self.services: list[object] = []
@@ -341,8 +410,6 @@ class CityMesh:
         self._cursor_x_m = 0.0
         self._node_next_free: dict[str, float] = {}
         self._predicted_next: dict[str, str] = {}
-        self._scheduler: EventScheduler | None = None
-        self._end_s = 0.0
         self.cars_injected = 0
         self.cars_transferred = 0
         self.cars_departed = 0
@@ -500,23 +567,14 @@ class CityMesh:
 
     def run(self, duration_s: float) -> MeshResult:
         """Simulate the whole mesh for ``duration_s`` seconds."""
-        if self._ran:
-            raise ConfigurationError("a CityMesh instance runs once; build a fresh one")
-        if not self.edges:
-            raise ConfigurationError("a mesh needs at least one edge")
-        self._ran = True
-        self._end_s = float(duration_s)
-        self._predicted_next = self._turn_policy()
-        self._station_objs = {
-            station.name: station
-            for edge in self.edges.values()
-            for station in edge.corridor.stations
-        }
-        self._plane = self._build_plane(
-            push_intent=self._push_intent_named, deliver_push=self._plant_push
+        duration_s, admissions = self._start(
+            duration_s,
+            check_live=True,
+            deliver_push=lambda intent, now_s: _plant_push(
+                self._stations, intent, now_s, self.ledger, self.obs
+            ),
         )
         scheduler = EventScheduler(obs=self.obs)
-        self._scheduler = scheduler
         for edge in self.edges.values():
             for service in self.services:
                 edge.corridor.subscribe(service)
@@ -529,54 +587,72 @@ class CityMesh:
                 self._plane.advance(sched.now_s)
 
             step_s = self._plane.config.heartbeat_s
-            n_ticks = int(float(duration_s) / step_s)
+            n_ticks = int(duration_s / step_s)
             for i in range(1, n_ticks + 1):
                 scheduler.schedule(i * step_s, tick, label="backhaul-sync")
-        for car, t_arrival in self._draw_cars(duration_s):
-            scheduler.schedule(
-                t_arrival,
-                self._make_entry(car),
-                label=f"car{car.transponder.tag_id}-enter",
-            )
+        _schedule_admissions(scheduler, admissions, self.edges)
         scheduler.run_until(duration_s)
-        return self._finish(duration_s)
+        return self._conclude(
+            MeshResult,
+            duration_s,
+            edges={name: e.corridor.finish() for name, e in self.edges.items()},
+            pushed={name: s.pushed for name, s in self._stations.items()},
+            responses=len(self.air.responses()),
+            corrupted_responses=len(
+                self.air.corrupted_responses(self.interference_range_m)
+            ),
+        )
 
-    def _build_plane(self, *, push_intent, deliver_push) -> BackhaulPlane:
-        """The run's backhaul plane — shared construction for the
-        serial engine and the sharded coordinator (which owns the links
-        either way; see :func:`~repro.sim.city.parallel.run_sharded`)."""
+    def _start(
+        self, duration_s: float, *, check_live: bool, deliver_push
+    ) -> tuple[float, list[_Admission]]:
+        """The run preamble both engines share; returns the validated
+        run length and the run's car itinerary.
+
+        Marks the mesh as run, indexes its stations once, fixes the
+        turn policy and builds the backhaul plane — coordinator-owned
+        under :func:`~repro.sim.city.parallel.run_sharded`, one set of
+        links for the whole city either way. ``deliver_push(intent,
+        now_s)`` plants a push that reached its pole: the live station
+        cache in the serial engine, the owning shard's next-rendezvous
+        queue in the sharded one. ``check_live`` says whether push
+        decisions may consult live station caches (the sharded
+        coordinator's copies are stale, so its shards re-check).
+        """
+        if self._ran:
+            raise ConfigurationError("a CityMesh instance runs once; build a fresh one")
+        if not self.edges:
+            raise ConfigurationError("a mesh needs at least one edge")
+        duration_s = float(duration_s)
+        if not (math.isfinite(duration_s) and duration_s >= 0.0):
+            raise ConfigurationError(
+                f"the run length must be finite and non-negative, got {duration_s!r}"
+            )
+        self._ran = True
+        self._predicted_next = self._turn_policy()
+        for edge in self.edges.values():
+            for station in edge.corridor.stations:
+                self._stations[station.name] = station
+                self._station_edge[station.name] = edge.name
+        self._check_live = check_live
+        self._deliver_push = deliver_push
         config = self.backhaul if self.backhaul is not None else BackhaulConfig()
-        gateways = config.gateways or self._default_gateways()
-        return BackhaulPlane(
+        # Default synced poles under ``mule``: the last pole of every
+        # exit edge — where departing cars (the mules) naturally pass.
+        exits = tuple(
+            sorted(e.last_station.name for e in self.edges.values() if e.dst is None)
+        )
+        self._plane = BackhaulPlane(
             config,
             directory=self.directory,
             taps=self.sighting_taps,
-            stations=[
-                station.name
-                for edge in self.edges.values()
-                for station in edge.corridor.stations
-            ],
-            gateways=gateways,
-            push_intent=push_intent,
+            stations=list(self._stations),
+            gateways=config.gateways or exits or tuple(sorted(self._stations)[-1:]),
+            push_intent=self._push_intent,
             deliver_push=deliver_push,
             obs=self.obs,
         )
-
-    def _default_gateways(self) -> tuple[str, ...]:
-        """Synced poles under ``mule``: the last pole of every exit
-        edge — where departing cars (the mules) naturally pass on
-        their way out of the mesh."""
-        exits = sorted(
-            e.last_station.name for e in self.edges.values() if e.dst is None
-        )
-        if exits:
-            return tuple(exits)
-        all_stations = sorted(
-            station.name
-            for edge in self.edges.values()
-            for station in edge.corridor.stations
-        )
-        return (all_stations[-1],) if all_stations else ()
+        return duration_s, self._plan_itinerary(duration_s)
 
     def _turn_policy(self) -> dict[str, str]:
         """The static per-edge successor prediction pushes aim at.
@@ -649,60 +725,58 @@ class CityMesh:
 
     # -- car movement ------------------------------------------------------------
 
-    def _make_entry(self, car: _RoutedCar):
-        def enter(scheduler: EventScheduler) -> None:
-            self._enter_edge(car, scheduler, scheduler.now_s)
+    def _plan_itinerary(self, duration_s: float) -> list[_Admission]:
+        """Every edge admission of the run, in the order they happen.
 
-        return enter
+        Car motion is radio-free: a car's every entry and exit depends
+        only on its draw (route, speed, lane), the intersection signals
+        and the release headway — never on what the readers decoded. So
+        the whole itinerary is computed up front, on a private ghost
+        scheduler that touches no corridor, and both engines schedule
+        the same admissions. :meth:`_draw_cars` is the only RNG
+        consumer. Car events all carry priority 0 and keep their
+        relative sequence, so same-time ties resolve exactly as they
+        would on a shared timeline. The ``cars_injected`` /
+        ``cars_transferred`` / ``cars_departed`` counters and the
+        ``mesh.car`` obs counts are produced here.
+        """
+        admissions: list[_Admission] = []
+        ghost = EventScheduler()
 
-    def _enter_edge(
-        self, car: _RoutedCar, scheduler: EventScheduler, now_s: float
-    ) -> None:
-        edge = self._edge(car.route[car.leg])
-        trajectory = ConstantSpeedTrajectory(
-            start_m=np.array([edge.entry_x_m, car.lane_y_m, 1.0]),
-            velocity_m_s=np.array([car.speed_m_s, 0.0, 0.0]),
-            t0_s=now_s,
-        )
-        tag = MovingTag(transponder=car.transponder, trajectory=trajectory)
-        edge.corridor.admit(tag, scheduler, now_s)
-        self.cars_injected += 1
-        if self.obs is not None:
-            self.obs.count("mesh.car", kind="injected", edge=edge.name)
-        t_exit = now_s + (edge.exit_x_m - edge.entry_x_m) / car.speed_m_s
-        if t_exit <= self._end_s:
-            scheduler.schedule(
-                t_exit,
-                self._make_exit(car, edge),
-                label=f"car{car.transponder.tag_id}-exit-{edge.name}",
+        def enter(car: _RoutedCar, scheduler: EventScheduler) -> None:
+            now_s = scheduler.now_s
+            edge = self.edges[car.route[car.leg]]
+            admissions.append(
+                _Admission(
+                    now_s, edge.name, car.leg, car.transponder, car.speed_m_s,
+                    car.lane_y_m,
+                )
             )
-
-    def _make_exit(self, car: _RoutedCar, edge: MeshEdge):
-        def exit_edge(scheduler: EventScheduler) -> None:
-            self._exit_edge(car, edge, scheduler, scheduler.now_s)
-
-        return exit_edge
-
-    def _exit_edge(
-        self, car: _RoutedCar, edge: MeshEdge, scheduler: EventScheduler, now_s: float
-    ) -> None:
-        car.leg += 1
-        if car.leg >= len(car.route):
-            self.cars_departed += 1
+            self.cars_injected += 1
             if self.obs is not None:
-                self.obs.count("mesh.car", kind="departed", edge=edge.name)
-            return
-        node = self.nodes[edge.dst]
-        depart_s = self._release(node, now_s)
-        if depart_s <= self._end_s:
-            self.cars_transferred += 1
-            if self.obs is not None:
-                self.obs.count("mesh.car", kind="transferred", edge=edge.name)
-            scheduler.schedule(
-                depart_s,
-                self._make_entry(car),
-                label=f"car{car.transponder.tag_id}-enter-{car.route[car.leg]}",
-            )
+                self.obs.count("mesh.car", kind="injected", edge=edge.name)
+            t_exit = now_s + (edge.exit_x_m - edge.entry_x_m) / car.speed_m_s
+            if t_exit <= duration_s:
+                scheduler.schedule(t_exit, partial(leave, car, edge))
+
+        def leave(car: _RoutedCar, edge: MeshEdge, scheduler: EventScheduler) -> None:
+            car.leg += 1
+            if car.leg >= len(car.route):
+                self.cars_departed += 1
+                if self.obs is not None:
+                    self.obs.count("mesh.car", kind="departed", edge=edge.name)
+                return
+            depart_s = self._release(self.nodes[edge.dst], scheduler.now_s)
+            if depart_s <= duration_s:
+                self.cars_transferred += 1
+                if self.obs is not None:
+                    self.obs.count("mesh.car", kind="transferred", edge=edge.name)
+                scheduler.schedule(depart_s, partial(enter, car))
+
+        for car, t_arrival in self._draw_cars(duration_s):
+            ghost.schedule(t_arrival, partial(enter, car))
+        ghost.run_until(duration_s)
+        return admissions
 
     def _release(self, node: MeshNode, arrival_s: float) -> float:
         """Intersection dwell: wait for the car ahead (saturation
@@ -729,63 +803,47 @@ class CityMesh:
         kind: str = "own",
         n_queries: int = 0,
     ) -> None:
-        """Corridor hook: route the sighting over its pole's backhaul
-        link; maybe push ahead of it.
+        """Corridor hook of the serial engine: report the sighting."""
+        self._report(
+            t_s, corridor.name, station.name, tag_id, cfo_hz, x_m, localized,
+            kind, n_queries,
+        )
+
+    def _report(
+        self,
+        t_s: float,
+        edge: str,
+        station: str,
+        tag_id: int,
+        cfo_hz: float,
+        x_m: float,
+        localized: bool,
+        kind: str,
+        n_queries: int,
+    ) -> None:
+        """Route one sighting over its pole's backhaul link; maybe push
+        ahead of it. Both engines report through here — the sharded
+        coordinator in canonical replay order.
 
         Under wired links the plane applies inline (directory report,
         taps) and returns the §7 estimate, and the push decision runs
-        here at sighting time — exactly the pre-backhaul sequence.
-        Under batched links the plane buffers the delta and both the
-        directory application and the push decision happen at delivery.
+        here at sighting time. Under batched links the plane buffers the
+        delta and both the directory application and the push decision
+        happen at delivery, through the same two callbacks.
 
         Only §6-localized fixes feed the §7 speed estimator (a
         pole-position stand-in would poison the ratio); the corridor
         name is the estimator's coordinate frame, so crossings rebase
         instead of pairing across the layout gap.
         """
-        edge = self.edges[corridor.name]
         estimate = self._plane.submit(
-            t_s, edge.name, station.name, tag_id, cfo_hz, x_m, localized,
-            kind, n_queries,
+            t_s, edge, station, tag_id, cfo_hz, x_m, localized, kind, n_queries
         )
-        if estimate is None:
-            return
         intent = self._push_intent(edge, station, x_m, tag_id, cfo_hz, t_s, estimate)
-        if intent is None:
-            return
-        self._plant_push(intent, t_s)
+        if intent is not None:
+            self._deliver_push(intent, t_s)
 
     def _push_intent(
-        self,
-        edge: MeshEdge,
-        station: CorridorStation,
-        x_m: float,
-        tag_id: int,
-        cfo_hz: float,
-        t_s: float,
-        estimate,
-        check_live: bool = True,
-    ) -> tuple | None:
-        """The push decision for one reported sighting, as data:
-        ``(target, from_station, tag_id, cfo_hz, t_emit_s, eta_s)`` or
-        None. ``check_live=False`` skips the target-cache liveness
-        check for callers without live station state (the sharded
-        coordinator, which re-checks at the owning shard)."""
-        if self.handoff != "push" or estimate is None:
-            return None
-        if estimate.speed_m_s <= 0.5:
-            return None  # effectively parked: no meaningful arrival prediction
-        target, distance_m = self._predict_target(edge, station, x_m)
-        if target is None:
-            return None
-        if check_live and (tag_id in target.identities or tag_id in target.pushed):
-            return None
-        eta_s = t_s + max(distance_m, 0.0) / estimate.speed_m_s
-        if eta_s - t_s > self.push_horizon_s:
-            return None
-        return (target.name, station.name, tag_id, cfo_hz, float(t_s), eta_s)
-
-    def _push_intent_named(
         self,
         edge_name: str,
         station_name: str,
@@ -795,28 +853,28 @@ class CityMesh:
         t_s: float,
         estimate,
     ) -> tuple | None:
-        """Name-keyed :meth:`_push_intent` — the serial plane's
-        delivery-time push callback."""
-        return self._push_intent(
-            self.edges[edge_name], self._station_objs[station_name],
-            x_m, tag_id, cfo_hz, t_s, estimate,
+        """The push decision for one reported sighting, as data:
+        ``(target, from_station, tag_id, cfo_hz, t_emit_s, eta_s)`` or
+        None. The target-cache liveness check runs only where station
+        state is live (the serial engine); the sharded coordinator
+        leaves it to the owning shard."""
+        if self.handoff != "push" or estimate is None:
+            return None
+        if estimate.speed_m_s <= 0.5:
+            return None  # effectively parked: no meaningful arrival prediction
+        target, distance_m = self._predict_target(
+            self.edges[edge_name], self._stations[station_name], x_m
         )
-
-    def _plant_push(self, intent: tuple, now_s: float) -> None:
-        """Plant one push intent into the live target cache at
-        ``now_s`` (sighting time when wired; link delivery time when
-        batched — the entry's age and the ledger record follow the
-        moment the pole actually learned of it)."""
-        target_name, from_station, tag_id, cfo_hz, _t_emit, eta_s = intent
-        target = self._station_objs[target_name]
-        if tag_id in target.identities or tag_id in target.pushed:
-            return
-        target.receive_push(cfo_hz, tag_id, from_station=from_station, now_s=now_s)
-        self.ledger.record_push(
-            target_name, from_station, tag_id, now_s, cfo_hz, eta_s=eta_s
-        )
-        if self.obs is not None:
-            self.obs.count("mesh.push", station=target_name)
+        if target is None:
+            return None
+        if self._check_live and (
+            tag_id in target.identities or tag_id in target.pushed
+        ):
+            return None
+        eta_s = t_s + max(distance_m, 0.0) / estimate.speed_m_s
+        if eta_s - t_s > self.push_horizon_s:
+            return None
+        return (target.name, station_name, tag_id, cfo_hz, float(t_s), eta_s)
 
     def _predict_target(
         self, edge: MeshEdge, station: CorridorStation, x_m: float
@@ -841,47 +899,40 @@ class CityMesh:
 
     # -- results -----------------------------------------------------------------
 
-    def _finish(self, duration_s: float) -> MeshResult:
+    def _conclude(
+        self, result_cls, duration_s: float, *, edges: dict, pushed: dict, **fields
+    ) -> MeshResult:
+        """The run epilogue both engines share: flush the backhaul,
+        sweep unconsumed pushes, build and score the result.
+
+        ``pushed`` maps station names to their leftover push entries;
+        ``fields`` are the engine's own result fields.
+        """
         # The DTN convergence flush runs before any summary is taken,
         # so the directory (and every tap, e.g. a billing service)
         # reflects all batched traffic. A no-op when wired.
-        if self._plane is not None:
-            self._plane.final_flush(duration_s)
+        self._plane.final_flush(duration_s)
         # Sweep speculative pushes that no sighting ever consumed: the
         # car turned off-route, parked, or the run ended first.
-        for edge in self.edges.values():
-            for station in edge.corridor.stations:
-                for tag_id in sorted(station.pushed):
-                    from_station, cfo_hz, t_push = station.pushed[tag_id]
-                    self.ledger.record_push_miss(
-                        station.name, from_station, tag_id, t_push, cfo_hz
-                    )
-        station_edge = {
-            station.name: edge.name
-            for edge in self.edges.values()
-            for station in edge.corridor.stations
-        }
-        result = MeshResult(
+        for name in self._stations:
+            leftovers = pushed.get(name, {})
+            for tag_id in sorted(leftovers):
+                from_station, cfo_hz, t_push = leftovers[tag_id]
+                self.ledger.record_push_miss(name, from_station, tag_id, t_push, cfo_hz)
+        result = result_cls(
             duration_s=duration_s,
             handoff=self.handoff,
-            edges={name: e.corridor.finish() for name, e in self.edges.items()},
+            edges=edges,
             ledger=self.ledger,
             directory=self.directory.summary(),
-            station_edge=station_edge,
+            station_edge=self._station_edge,
             cars_injected=self.cars_injected,
             cars_transferred=self.cars_transferred,
             cars_departed=self.cars_departed,
-            responses=len(self.air.responses()),
-            corrupted_responses=len(
-                self.air.corrupted_responses(self.interference_range_m)
-            ),
-            backhaul=(
-                self._plane.summary()
-                if self._plane is not None and self._plane.batched
-                else None
-            ),
+            backhaul=self._plane.summary() if self._plane.batched else None,
+            **fields,
         )
-        self.cross_corridor_stats(result, station_edge)
+        self.cross_corridor_stats(result, self._station_edge)
         return result
 
     def cross_corridor_stats(

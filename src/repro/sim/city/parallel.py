@@ -16,10 +16,10 @@ already guarantees:
 * **Car motion is radio-free.** A routed car's every entry/exit time
   depends only on its draw (route, speed, lane), the intersection
   signals, and the release headway — never on what the readers decoded.
-  The coordinator therefore *precomputes the complete itinerary*
-  (replaying the serial mesh's arrival/transfer logic event-for-event,
-  consuming ``mesh.rng`` exactly as :meth:`CityMesh.run` would) and
-  hands each shard its admissions up front.
+  The mesh therefore computes the complete itinerary up front
+  (:meth:`CityMesh._plan_itinerary`, the one place car motion lives)
+  and *both* engines schedule its admissions: the serial engine on its
+  one timeline, each shard the admissions onto its own edges.
 
 What cannot be sharded exactly is the *coupling that remains*: the
 city-wide :class:`~repro.sim.city.directory.IdentityDirectory` (bounded
@@ -27,25 +27,29 @@ and aging — eviction couples tags globally) and the predictive push
 handoff (a sighting on one edge plants a cache entry on another). Both
 run on the coordinator at **rendezvous barriers**: simulation advances
 in fixed sync quanta; at each barrier every shard surrenders the
-sightings of its quantum, the coordinator replays them into the one
-true directory in canonical order — ``(t_s, group, arrival index)`` —
-computes push intents with the serial mesh's own prediction logic, and
-delivers them to the target shards for the next quantum. A push
-therefore lands up to one quantum later than in the serial mesh (the
-quantum is chosen well below the seconds a car needs to reach the next
-pole, so in practice the entry is still planted ahead of arrival).
+sightings of its quantum, and the coordinator reports them — through
+the same sighting route, push decision and backhaul plane the serial
+engine uses — into the one true directory in canonical order,
+``(t_s, group, arrival index)``. The resulting push intents go to the
+target shards for the next quantum, where the mesh's one push planter
+plants them. A push therefore lands up to one quantum later than in
+the serial mesh (the quantum is chosen well below the seconds a car
+needs to reach the next pole, so in practice the entry is still
+planted ahead of arrival).
 
-**The determinism contract** (see ``docs/PERFORMANCE.md``): the serial
-mesh shares one RNG stream across every corridor, interleaved in global
-event order — a sharded run cannot reproduce that interleaving, so
-``run_sharded`` is *not* bit-identical to :meth:`CityMesh.run` (which
-remains untouched, golden-pinned reference semantics). What it *is* is
-**worker-count invariant**: every worker count — and the in-process
-debug mode — executes the identical per-group protocol (per-edge RNG
-streams seeded from ``mesh.rng`` in sorted edge order, identical quanta,
-identical barrier replay), so ``workers=1``, ``workers=2`` and
-``workers=8`` produce bit-for-bit the same merged ledger, directory,
-metrics snapshot and :meth:`MeshResult.summary`.
+**The determinism contract** (see ``docs/PERFORMANCE.md``): both
+engines drive the same itinerary, so car counters and cell crossings
+agree exactly. The radio does not: the serial mesh shares one RNG
+stream across every corridor, interleaved in global event order, and a
+sharded run cannot reproduce that interleaving — so ``run_sharded`` is
+*not* bit-identical to :meth:`CityMesh.run` (whose output is
+golden-pinned). What it *is* is **worker-count invariant**: every
+worker count — and the in-process debug mode — executes the identical
+per-group protocol (per-edge RNG streams seeded from ``mesh.rng`` in
+sorted edge order, identical quanta, identical barrier replay), so
+``workers=1``, ``workers=2`` and ``workers=8`` produce bit-for-bit the
+same merged ledger, directory, metrics snapshot and
+:meth:`MeshResult.summary`.
 
 Merged results are canonical, not concatenated: sighting records from
 all shards are replayed into one fresh
@@ -54,16 +58,19 @@ all shards are replayed into one fresh
 (a shard alone cannot know a tag was first decoded two corridors away);
 per-group metrics registries merge in sorted group order.
 
-This module is the **only** place in ``src/`` allowed to import
+This module owns what is left: the partition, the barrier protocol
+and the merge. It is the **only** place in ``src/`` allowed to import
 ``multiprocessing`` (the ``parallel-policy`` analyzer enforces it).
 Workers are forked, so shard objects cross by memory inheritance and
 only plain tuples (reports, push intents) and the final per-group
-payloads travel the pipes.
+payloads travel the pipes. A worker that fails or dies surfaces as a
+:class:`ShardWorkerError` naming its groups, and every worker is reaped.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import traceback
 from dataclasses import dataclass, field
@@ -71,10 +78,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...constants import READER_RANGE_M
-from ...errors import ConfigurationError
+from ...errors import ConfigurationError, SimulationError
 from ..events import EventScheduler
 from ..medium import AirLog
-from ..mobility import ConstantSpeedTrajectory
 from .handoff import (
     DECODE,
     DECODE_DEFERRED,
@@ -85,11 +91,15 @@ from .handoff import (
     REDECODE,
     HandoffLedger,
 )
-from .mesh import CityMesh, MeshResult
-from .moving import MovingTag
+from .mesh import CityMesh, MeshResult, _plant_push, _schedule_admissions
 from .pool import ResponsePool
 
-__all__ = ["interference_groups", "run_sharded", "ShardedMeshResult"]
+__all__ = [
+    "interference_groups",
+    "run_sharded",
+    "ShardedMeshResult",
+    "ShardWorkerError",
+]
 
 #: Default rendezvous quantum: directory replay and push delivery happen
 #: at this cadence. Well below the seconds a car needs between poles
@@ -141,89 +151,6 @@ def interference_groups(mesh: CityMesh) -> list[list[str]]:
     return sorted(components.values(), key=lambda group: group[0])
 
 
-# -- the itinerary (coordinator-side car motion) ---------------------------
-
-
-@dataclass(frozen=True)
-class _Admission:
-    """One car entering one edge: everything the shard needs to admit it."""
-
-    t_s: float
-    transponder: object
-    speed_m_s: float
-    lane_y_m: float
-
-
-def _plan_itinerary(
-    mesh: CityMesh, duration_s: float
-) -> dict[str, list[_Admission]]:
-    """Precompute every edge admission of the run, serially and exactly.
-
-    Replays the serial mesh's car machinery — ``_draw_cars`` (the only
-    RNG consumer, called here so ``mesh.rng`` advances exactly as in
-    :meth:`CityMesh.run`), entry/exit scheduling, and intersection
-    release via :meth:`CityMesh._release` — on a private ghost
-    scheduler that touches no corridor. Event tie-breaking matches the
-    serial run: car events all carry priority 0 and their relative
-    sequence order is preserved (corridor events interleave between
-    them in the serial heap but never mutate car state). The mesh's
-    ``cars_injected`` / ``cars_transferred`` / ``cars_departed``
-    counters and ``mesh.car`` obs counts are produced here, exactly as
-    the serial callbacks would.
-    """
-    admissions: dict[str, list[_Admission]] = {name: [] for name in mesh.edges}
-    ghost = EventScheduler()
-
-    def make_entry(car):
-        def enter(scheduler: EventScheduler) -> None:
-            now_s = scheduler.now_s
-            edge = mesh.edges[car.route[car.leg]]
-            admissions[edge.name].append(
-                _Admission(now_s, car.transponder, car.speed_m_s, car.lane_y_m)
-            )
-            mesh.cars_injected += 1
-            if mesh.obs is not None:
-                mesh.obs.count("mesh.car", kind="injected", edge=edge.name)
-            t_exit = now_s + (edge.exit_x_m - edge.entry_x_m) / car.speed_m_s
-            if t_exit <= duration_s:
-                scheduler.schedule(
-                    t_exit,
-                    make_exit(car, edge),
-                    label=f"car{car.transponder.tag_id}-exit-{edge.name}",
-                )
-
-        return enter
-
-    def make_exit(car, edge):
-        def exit_edge(scheduler: EventScheduler) -> None:
-            car.leg += 1
-            if car.leg >= len(car.route):
-                mesh.cars_departed += 1
-                if mesh.obs is not None:
-                    mesh.obs.count("mesh.car", kind="departed", edge=edge.name)
-                return
-            node = mesh.nodes[edge.dst]
-            depart_s = mesh._release(node, scheduler.now_s)
-            if depart_s <= duration_s:
-                mesh.cars_transferred += 1
-                if mesh.obs is not None:
-                    mesh.obs.count("mesh.car", kind="transferred", edge=edge.name)
-                scheduler.schedule(
-                    depart_s,
-                    make_entry(car),
-                    label=f"car{car.transponder.tag_id}-enter-{car.route[car.leg]}",
-                )
-
-        return exit_edge
-
-    for car, t_arrival in mesh._draw_cars(duration_s):
-        ghost.schedule(
-            t_arrival, make_entry(car), label=f"car{car.transponder.tag_id}-enter"
-        )
-    ghost.run_until(duration_s)
-    return admissions
-
-
 # -- shards ----------------------------------------------------------------
 
 
@@ -248,6 +175,8 @@ class _ShardGroup:
       in sharded runs;
     * an ``on_sighting`` hook that *buffers* instead of reporting —
       the directory lives with the coordinator.
+
+    The group's share of the mesh's car itinerary is scheduled up front.
     """
 
     def __init__(
@@ -256,6 +185,7 @@ class _ShardGroup:
         edge_names: list[str],
         edge_seeds: dict[str, int],
         duration_s: float,
+        admissions: list,
         obs=None,
     ) -> None:
         self.key = edge_names[0]
@@ -268,8 +198,8 @@ class _ShardGroup:
         self.scheduler = EventScheduler(obs=self.obs)
         self.outbox: list[tuple] = []
         self._stations: dict[str, object] = {}
-        self._edges = [mesh.edges[name] for name in edge_names]
-        for edge in self._edges:
+        self._edges = {name: mesh.edges[name] for name in edge_names}
+        for edge in self._edges.values():
             corridor = edge.corridor
             rng = np.random.default_rng(edge_seeds[edge.name])
             corridor.rng = rng
@@ -289,28 +219,7 @@ class _ShardGroup:
                     station.mac.obs = corridor._station_obs[station.name]
                 self._stations[station.name] = station
             corridor.prime(self.scheduler, duration_s)
-
-    def schedule_admissions(self, admissions: dict[str, list[_Admission]]) -> None:
-        for edge in self._edges:
-            for adm in admissions[edge.name]:
-                self.scheduler.schedule(
-                    adm.t_s,
-                    self._make_entry(edge, adm),
-                    label=f"car{adm.transponder.tag_id}-enter",
-                )
-
-    def _make_entry(self, edge, adm: _Admission):
-        def enter(scheduler: EventScheduler) -> None:
-            # Mirrors CityMesh._enter_edge: same trajectory, same admit.
-            trajectory = ConstantSpeedTrajectory(
-                start_m=np.array([edge.entry_x_m, adm.lane_y_m, 1.0]),
-                velocity_m_s=np.array([adm.speed_m_s, 0.0, 0.0]),
-                t0_s=scheduler.now_s,
-            )
-            tag = MovingTag(transponder=adm.transponder, trajectory=trajectory)
-            edge.corridor.admit(tag, scheduler, scheduler.now_s)
-
-        return enter
+        _schedule_admissions(self.scheduler, admissions, self._edges)
 
     def _buffer_sighting(
         self,
@@ -350,36 +259,22 @@ class _ShardGroup:
         return reports
 
     def apply_intents(self, intents: list[tuple]) -> None:
-        """Plant coordinator-computed pushes, with the serial skip rule.
+        """Plant coordinator-delivered ``(intent, now_s)`` pushes.
 
-        The "already knows / already pushed" check runs *here*, against
-        the live shard caches — the coordinator's copies are stale by
-        up to a quantum. Accepted pushes land exactly as in
-        ``CityMesh._on_sighting``: cache store at the original push
-        time, a ledger push record, and a ``mesh.push`` count.
+        The "already knows / already pushed" check of the shared
+        planter runs *here*, against the live shard caches — the
+        coordinator's copies are stale by up to a quantum.
         """
-        for t_s, target_name, from_station, tag_id, cfo_hz, eta_s in intents:
-            station = self._stations[target_name]
-            if tag_id in station.identities or tag_id in station.pushed:
-                continue
-            station.receive_push(cfo_hz, tag_id, from_station=from_station, now_s=t_s)
-            self.ledger.record_push(
-                target_name, from_station, tag_id, t_s, cfo_hz, eta_s=eta_s
-            )
-            if self.obs is not None:
-                self.obs.count("mesh.push", station=target_name)
+        for intent, now_s in intents:
+            _plant_push(self._stations, intent, now_s, self.ledger, self.obs)
 
     def finish_payload(self) -> dict:
         """Everything the coordinator's merge needs, pickle-friendly."""
         return {
             "key": self.key,
-            "edges": {e.name: e.corridor.finish() for e in self._edges},
+            "edges": {name: e.corridor.finish() for name, e in self._edges.items()},
             "ledger": self.ledger,
-            "pushed": {
-                station.name: dict(station.pushed)
-                for edge in self._edges
-                for station in edge.corridor.stations
-            },
+            "pushed": {name: dict(s.pushed) for name, s in self._stations.items()},
             "responses": len(self.air.responses()),
             "corrupted": len(
                 self.air.corrupted_responses(self.interference_range_m)
@@ -392,28 +287,36 @@ class _ShardGroup:
 # -- workers ---------------------------------------------------------------
 
 
+class ShardWorkerError(SimulationError):
+    """A forked shard worker failed or died; names its groups' keys."""
+
+
+def _dispatch(groups: list[_ShardGroup], msg: tuple) -> tuple:
+    """Run one coordinator message against a host's groups; the reply."""
+    if msg[0] == "advance":
+        _, t_s, intents_by_group = msg
+        reports = []
+        for group in groups:
+            out = group.advance(t_s, intents_by_group.get(group.key, []))
+            reports.extend((group.key,) + r for r in out)
+        return ("reports", reports)
+    if msg[0] == "apply":
+        for group in groups:
+            group.apply_intents(msg[1].get(group.key, []))
+        return ("ok",)
+    if msg[0] == "finish":
+        return ("result", [g.finish_payload() for g in groups])
+    raise SimulationError(f"unknown shard message {msg[0]!r}")
+
+
 def _worker_main(groups: list[_ShardGroup], conn) -> None:
     """Worker loop: lockstep with the coordinator over one pipe."""
     try:
         while True:
             msg = conn.recv()
-            if msg[0] == "advance":
-                _, t_s, intents_by_group = msg
-                reports = []
-                for group in groups:
-                    out = group.advance(t_s, intents_by_group.get(group.key, []))
-                    reports.extend((group.key,) + r for r in out)
-                conn.send(("reports", reports))
-            elif msg[0] == "apply":
-                _, intents_by_group = msg
-                for group in groups:
-                    group.apply_intents(intents_by_group.get(group.key, []))
-                conn.send(("ok",))
-            elif msg[0] == "finish":
-                conn.send(("result", [g.finish_payload() for g in groups]))
+            conn.send(_dispatch(groups, msg))
+            if msg[0] == "finish":
                 return
-            else:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"unknown message {msg[0]!r}")
     except Exception:
         conn.send(("error", traceback.format_exc()))
 
@@ -430,19 +333,37 @@ class _ForkedHost:
         self.process.start()
         child.close()
 
+    def _failed(self, what: str) -> ShardWorkerError:
+        keys = ", ".join(g.key for g in self.groups)
+        return ShardWorkerError(f"shard worker for groups [{keys}] {what}")
+
     def send(self, msg) -> None:
-        self.conn.send(msg)
+        try:
+            self.conn.send(msg)
+        except OSError:
+            raise self._failed("is gone") from None
 
     def recv(self):
-        reply = self.conn.recv()
-        if reply[0] == "error":
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError):
             self.process.join()
-            raise RuntimeError(f"shard worker failed:\n{reply[1]}")
+            raise self._failed(
+                f"died (exit code {self.process.exitcode})"
+            ) from None
+        if reply[0] == "error":
+            raise self._failed(f"failed:\n{reply[1]}")
         return reply
 
-    def close(self) -> None:
-        self.process.join()
+    def close(self, abort: bool = False) -> None:
+        """Close the pipe and reap the worker. On ``abort`` (the run
+        failed) a still-running worker is terminated: it would wait in
+        ``recv`` forever, because its forked siblings hold copies of its
+        pipe."""
         self.conn.close()
+        if abort:
+            self.process.terminate()
+        self.process.join()
 
 
 class _LocalHost:
@@ -458,26 +379,13 @@ class _LocalHost:
         self._reply = None
 
     def send(self, msg) -> None:
-        if msg[0] == "advance":
-            _, t_s, intents_by_group = msg
-            reports = []
-            for group in self.groups:
-                out = group.advance(t_s, intents_by_group.get(group.key, []))
-                reports.extend((group.key,) + r for r in out)
-            self._reply = ("reports", reports)
-        elif msg[0] == "apply":
-            _, intents_by_group = msg
-            for group in self.groups:
-                group.apply_intents(intents_by_group.get(group.key, []))
-            self._reply = ("ok",)
-        elif msg[0] == "finish":
-            self._reply = ("result", [g.finish_payload() for g in self.groups])
+        self._reply = _dispatch(self.groups, msg)
 
     def recv(self):
         reply, self._reply = self._reply, None
         return reply
 
-    def close(self) -> None:
+    def close(self, abort: bool = False) -> None:
         pass
 
 
@@ -549,11 +457,13 @@ def run_sharded(
             run, in sorted group order — invariant across worker
             counts. Ignored when ``mesh.obs`` is None. Sim-time
             tracing is not supported in sharded runs either way.
+
+    Raises:
+        ConfigurationError: an invalid mesh, run length, worker count
+            or quantum (checked before anything runs).
+        ShardWorkerError: a forked worker raised or died; every other
+            worker is terminated and reaped before it propagates.
     """
-    if mesh._ran:
-        raise ConfigurationError("a CityMesh instance runs once; build a fresh one")
-    if not mesh.edges:
-        raise ConfigurationError("a mesh needs at least one edge")
     if mesh.services:
         raise ConfigurationError(
             "subscribe() services need the single shared timeline — "
@@ -563,17 +473,27 @@ def run_sharded(
         )
     if workers < 1:
         raise ConfigurationError("need at least one worker")
-    if sync_quantum_s <= 0:
-        raise ConfigurationError("the sync quantum must be positive")
-    duration_s = float(duration_s)
-    mesh._ran = True
-    mesh._end_s = duration_s
-    mesh._predicted_next = mesh._turn_policy()
+    sync_quantum_s = float(sync_quantum_s)
+    if not (math.isfinite(sync_quantum_s) and sync_quantum_s > 0):
+        raise ConfigurationError(
+            f"the sync quantum must be finite and positive, got {sync_quantum_s!r}"
+        )
+    push_sink: dict[str, list[tuple]] = {}
 
-    # Serial-equivalent preamble: the itinerary consumes mesh.rng exactly
-    # as CityMesh.run's _draw_cars would; per-edge stream seeds are drawn
-    # after it, in sorted edge order — both independent of worker count.
-    admissions = _plan_itinerary(mesh, duration_s)
+    def queue_push(intent: tuple, now_s: float) -> None:
+        # A push that reached its pole's side of the link: hand it to
+        # the owning shard at the next rendezvous; the shard re-checks
+        # its live cache before planting.
+        push_sink.setdefault(station_group[intent[0]], []).append(
+            (intent, float(now_s))
+        )
+
+    # The itinerary consumes mesh.rng exactly as CityMesh.run does;
+    # per-edge stream seeds are drawn after it, in sorted edge order —
+    # both independent of worker count.
+    duration_s, admissions = mesh._start(
+        duration_s, check_live=False, deliver_push=queue_push
+    )
     edge_seeds = {
         name: int(mesh.rng.integers(np.iinfo(np.int64).max))
         for name in sorted(mesh.edges)
@@ -584,21 +504,15 @@ def run_sharded(
             edge_names,
             edge_seeds,
             duration_s,
+            admissions,
             obs=None
             if mesh.obs is None or shard_obs_factory is None
             else shard_obs_factory(),
         )
         for edge_names in interference_groups(mesh)
     ]
-    for group in groups:
-        group.schedule_admissions(admissions)
     station_group = {
         name: group.key for group in groups for name in group._stations
-    }
-    station_by_name = {
-        station.name: (edge, station)
-        for edge in mesh.edges.values()
-        for station in edge.corridor.stations
     }
 
     workers = min(int(workers), len(groups))
@@ -612,89 +526,24 @@ def run_sharded(
             for w in range(workers)
         ]
 
-    # The backhaul plane is coordinator-owned — one set of links for
-    # the whole city, fed by the canonical-order replay below, so
-    # batched delivery stays worker-count invariant. Wired configs make
-    # it a pass-through executing the exact pre-backhaul sequence.
-    push_sink: dict[str, list[tuple]] = {}
-
-    def queue_push(intent: tuple, now_s: float) -> None:
-        # A push that reached its pole's side of the link: hand it to
-        # the owning shard at the next rendezvous (same one-quantum
-        # granularity as wired sharded pushes; the shard re-checks its
-        # live cache before planting).
-        target_name, from_station, tag_id, cfo_hz, _t_emit, eta_s = intent
-        push_sink.setdefault(station_group[target_name], []).append(
-            (float(now_s), target_name, from_station, tag_id, cfo_hz, eta_s)
-        )
-
-    plane = mesh._build_plane(
-        push_intent=lambda edge_name, stn_name, x_m, tag_id, cfo_hz, t_s, est: (
-            mesh._push_intent(
-                mesh.edges[edge_name], station_by_name[stn_name][1], x_m,
-                tag_id, cfo_hz, t_s, est, check_live=False,
-            )
-        ),
-        deliver_push=queue_push,
-    )
-    mesh._plane = plane
-
-    def replay(reports: list[tuple], t_end_s: float) -> dict[str, list[tuple]]:
-        """Feed one quantum's sightings over the backhaul plane — and
-        through it the directory and any registered sighting taps — in
-        canonical order, then advance the plane's links to the quantum
-        boundary. Wired: the plane applies inline and the push intents
-        are computed here, the exact decision sequence of
-        CityMesh._on_sighting with the live-cache skip check deferred
-        to the owning shard. Batched: submission buffers the delta and
-        push intents surface at delivery via ``queue_push``."""
-        push_sink.clear()
-        reports.sort(key=lambda r: (r[1], r[0], r[10]))
-        for (
-            _,
-            t_s,
-            edge_name,
-            stn_name,
-            tag_id,
-            cfo_hz,
-            x_m,
-            localized,
-            kind,
-            n_queries,
-            _,
-        ) in reports:
-            estimate = plane.submit(
-                t_s, edge_name, stn_name, tag_id, cfo_hz, x_m, localized,
-                kind, n_queries,
-            )
-            if estimate is None:
-                continue
-            intent = mesh._push_intent(
-                mesh.edges[edge_name], station_by_name[stn_name][1], x_m,
-                tag_id, cfo_hz, t_s, estimate, check_live=False,
-            )
-            if intent is None:
-                continue
-            target_name, from_station, _tag, _cfo, t_emit, eta_s = intent
-            push_sink.setdefault(station_group[target_name], []).append(
-                (t_emit, target_name, from_station, tag_id, cfo_hz, eta_s)
-            )
-        plane.advance(t_end_s)
-        return {key: list(batch) for key, batch in push_sink.items()}
-
+    finished = False
     try:
         intents_by_group: dict[str, list[tuple]] = {}
         for t_s in _quantum_boundaries(duration_s, sync_quantum_s):
             for host in hosts:
                 host.send(("advance", t_s, intents_by_group))
-            reports = []
-            for host in hosts:
-                reports.extend(host.recv()[1])
-            intents_by_group = replay(reports, t_s)
-        # The convergence flush delivers every still-buffered batch
-        # before results are taken (pushes are suppressed — the run is
-        # over). A no-op when wired.
-        plane.final_flush(duration_s)
+            reports = [r for host in hosts for r in host.recv()[1]]
+            # Replay the quantum's sightings over the backhaul plane —
+            # and through it the directory and any sighting taps — in
+            # canonical (t_s, group, arrival) order, then advance the
+            # plane's links to the quantum boundary. Pushes collect in
+            # push_sink for the next quantum.
+            push_sink.clear()
+            reports.sort(key=lambda r: (r[1], r[0], r[10]))
+            for report in reports:
+                mesh._report(*report[1:10])
+            mesh._plane.advance(t_s)
+            intents_by_group = dict(push_sink)
         # Pushes triggered by the final quantum's sightings are still
         # sent (they become push misses in the sweep, as in serial).
         for host in hosts:
@@ -703,18 +552,13 @@ def run_sharded(
             host.recv()
         for host in hosts:
             host.send(("finish",))
-        payloads = {}
-        for host in hosts:
-            for payload in host.recv()[1]:
-                payloads[payload["key"]] = payload
+        payloads = {p["key"]: p for host in hosts for p in host.recv()[1]}
+        finished = True
     finally:
         for host in hosts:
-            host.close()
+            host.close(abort=not finished)
 
-    result = _merge(mesh, payloads, duration_s, workers, sync_quantum_s, groups)
-    if plane.batched:
-        result.backhaul = plane.summary()
-    return result
+    return _merge(mesh, payloads, duration_s, workers, sync_quantum_s, groups)
 
 
 def _merge(
@@ -731,8 +575,8 @@ def _merge(
     records stream in global ``(t_s, group, local index)`` order through
     a fresh ledger so decode/redecode classification sees city-wide
     knowledge, exactly as the serial shared ledger did. The push-miss
-    sweep then mirrors ``CityMesh._finish`` (edge order, station order,
-    sorted tag ids). Every per-edge result is re-pointed at the merged
+    sweep and the result itself then come from the epilogue the serial
+    engine uses. Every per-edge result is re-pointed at the merged
     ledger — in the serial mesh all edge results reference the one
     shared ledger, and downstream consumers rely on that.
     """
@@ -793,25 +637,12 @@ def _merge(
             rows.extend(getattr(payloads[key]["ledger"], attr))
         getattr(merged, attr).extend(sorted(rows))
 
-    # The speculative-push sweep, in the serial _finish order.
-    group_of_edge = {
-        name: group.key for group in groups for name in group.edge_names
-    }
-    for edge_name, edge in mesh.edges.items():
-        pushed = payloads[group_of_edge[edge_name]]["pushed"]
-        for station in edge.corridor.stations:
-            leftovers = pushed.get(station.name, {})
-            for tag_id in sorted(leftovers):
-                from_station, cfo_hz, t_push = leftovers[tag_id]
-                merged.record_push_miss(
-                    station.name, from_station, tag_id, t_push, cfo_hz
-                )
-
-    edges = {}
-    for edge_name in mesh.edges:
-        result = payloads[group_of_edge[edge_name]]["edges"][edge_name]
+    edge_results, pushed = {}, {}
+    for key in ordered_keys:
+        edge_results.update(payloads[key]["edges"])
+        pushed.update(payloads[key]["pushed"])
+    for result in edge_results.values():
         result.ledger = merged
-        edges[edge_name] = result
 
     if mesh.obs is not None:
         for key in ordered_keys:
@@ -819,25 +650,14 @@ def _merge(
             if metrics is not None:
                 mesh.obs.metrics.merge(metrics)
 
-    station_edge = {
-        station.name: edge.name
-        for edge in mesh.edges.values()
-        for station in edge.corridor.stations
-    }
-    result = ShardedMeshResult(
-        duration_s=duration_s,
-        handoff=mesh.handoff,
-        edges=edges,
-        ledger=merged,
-        directory=mesh.directory.summary(),
-        station_edge=station_edge,
-        cars_injected=mesh.cars_injected,
-        cars_transferred=mesh.cars_transferred,
-        cars_departed=mesh.cars_departed,
+    mesh.ledger = merged
+    return mesh._conclude(
+        ShardedMeshResult,
+        duration_s,
+        edges={name: edge_results[name] for name in mesh.edges},
+        pushed=pushed,
         responses=sum(payloads[key]["responses"] for key in ordered_keys),
-        corrupted_responses=sum(
-            payloads[key]["corrupted"] for key in ordered_keys
-        ),
+        corrupted_responses=sum(payloads[key]["corrupted"] for key in ordered_keys),
         workers=workers,
         sync_quantum_s=sync_quantum_s,
         groups=tuple(tuple(group.edge_names) for group in groups),
@@ -845,9 +665,6 @@ def _merge(
             key: payloads[key]["events_processed"] for key in ordered_keys
         },
     )
-    mesh.ledger = merged
-    mesh.cross_corridor_stats(result, station_edge)
-    return result
 
 
 # -- CI smoke --------------------------------------------------------------

@@ -7,22 +7,33 @@ The contract under test (see ``src/repro/sim/city/parallel.py``):
 * ``run_sharded`` is worker-count invariant bit-for-bit: every worker
   count (and the forkless in-process mode) produces identical
   summaries, merged ledgers, and metrics snapshots;
-* car motion is radio-free, so the coordinator's precomputed itinerary
-  reproduces the serial mesh's traffic exactly (counters, cell entries);
-* the interference partition is derived from geometry, not assumed.
+* both engines drive the mesh's one car itinerary, so sharded traffic
+  matches the serial mesh's exactly (counters, cell entries);
+* the interference partition is derived from geometry, not assumed;
+* a failed or killed worker raises a typed error instead of hanging,
+  and invalid run lengths are rejected up front.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
 from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import Obs
-from repro.sim.city import downtown_grid, interference_groups, run_sharded
+from repro.sim.city import (
+    ShardWorkerError,
+    downtown_grid,
+    interference_groups,
+    run_sharded,
+)
+from repro.sim.city import parallel
 from repro.sim.city.parallel import _quantum_boundaries
 
 from tests.test_city_mesh import chain_mesh
@@ -112,6 +123,83 @@ class TestItineraryFidelity:
         assert sorted(sharded.ledger.cell_exits) == sorted(
             serial.ledger.cell_exits
         )
+
+
+#: The serial-vs-sharded ensemble: seeds of ``downtown_grid(2, 2)``,
+#: simulated seconds per run.
+DIFFERENTIAL_SEEDS = (1, 2, 3, 4, 5)
+DIFFERENTIAL_DURATION_S = 16.0
+
+
+def engine_outcomes(result) -> dict:
+    pushes = len(result.ledger.pushes)
+    return {
+        "tags": sum(len(e.identifications) for e in result.edges.values()),
+        "cross_entries": result.cross_entries,
+        "cross_resolved": result.cross_resolved,
+        "pushes": pushes,
+        "push_hits": result.ledger.push_hits,
+    }
+
+
+class TestSerialShardedAgreement:
+    """Differential check between the two engines.
+
+    They are not bit-identical by design (one shared RNG stream vs
+    per-edge streams, one-quantum push latency), so the radio outcomes
+    are held to bounds, not equality. Measured on this ensemble: tags
+    identified were equal on every seed, the pooled cross-resolution
+    rates were equal (13/18 each) and the pooled push-hit rates were
+    13/55 = 0.236 serial vs 13/57 = 0.228 sharded (per seed up to 0.06
+    apart: the sharded coordinator, a quantum behind, sends a few more
+    pushes). On seeds 1-8 at 20 s, tags differed by at most 1 per seed.
+    The bounds leave room for a legitimate timing change; a systematic
+    bug confined to one engine (pushes never planted, reports dropped,
+    cars mis-admitted) moves these numbers by far more.
+    """
+
+    #: per seed, tags identified may differ by at most this many
+    TAGS_PER_SEED = 2
+    #: pooled over the ensemble, the rates may differ by at most these
+    CROSS_RATE = 0.10
+    PUSH_HIT_RATE = 0.05
+
+    @pytest.mark.slow
+    def test_engines_agree_over_seeds(self):
+        serial, sharded = [], []
+        for seed in DIFFERENTIAL_SEEDS:
+            one = downtown_grid(2, 2, rng=seed, rate_per_s=0.5).run(
+                DIFFERENTIAL_DURATION_S
+            )
+            many = run_sharded(
+                downtown_grid(2, 2, rng=seed, rate_per_s=0.5),
+                DIFFERENTIAL_DURATION_S,
+                workers=2,
+            )
+            # The car itinerary is shared, so traffic agrees exactly.
+            assert (many.cars_injected, many.cars_transferred, many.cars_departed) == (
+                one.cars_injected, one.cars_transferred, one.cars_departed
+            )
+            assert sorted(many.ledger.cell_entries) == sorted(one.ledger.cell_entries)
+            assert sorted(many.ledger.cell_exits) == sorted(one.ledger.cell_exits)
+            serial.append(engine_outcomes(one))
+            sharded.append(engine_outcomes(many))
+        for a, b in zip(serial, sharded):
+            assert abs(a["tags"] - b["tags"]) <= self.TAGS_PER_SEED, (a, b)
+
+        def pooled(runs, num, den):
+            total = sum(r[den] for r in runs)
+            assert total > 0, f"the ensemble produced no {den}"
+            return sum(r[num] for r in runs) / total
+
+        assert abs(
+            pooled(serial, "cross_resolved", "cross_entries")
+            - pooled(sharded, "cross_resolved", "cross_entries")
+        ) <= self.CROSS_RATE
+        assert abs(
+            pooled(serial, "push_hits", "pushes")
+            - pooled(sharded, "push_hits", "pushes")
+        ) <= self.PUSH_HIT_RATE
 
 
 def run_grid(workers, *, in_process=False, with_obs=False, seed=11):
@@ -216,6 +304,92 @@ class TestGuards:
             run_sharded(
                 downtown_grid(1, 1, rng=0), 0.5, workers=1, sync_quantum_s=0.0
             )
+
+
+def run_for(engine: str, duration_s: float, **kwargs):
+    mesh = downtown_grid(1, 1, rng=0)
+    if engine == "serial":
+        return mesh.run(duration_s)
+    return run_sharded(mesh, duration_s, workers=1, in_process=True, **kwargs)
+
+
+ENGINES = ("serial", "sharded")
+
+
+class TestRunLengthValidation:
+    """Both engines share one run preamble, so each rejection is checked
+    on both."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_nan_duration_rejected(self, engine):
+        with pytest.raises(ConfigurationError, match="run length"):
+            run_for(engine, float("nan"))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_negative_duration_rejected(self, engine):
+        with pytest.raises(ConfigurationError, match="run length"):
+            run_for(engine, -1.0)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_infinite_duration_rejected(self, engine):
+        with pytest.raises(ConfigurationError, match="run length"):
+            run_for(engine, float("inf"))
+
+    def test_nan_sync_quantum_rejected(self):
+        with pytest.raises(ConfigurationError, match="sync quantum"):
+            run_for("sharded", 0.5, sync_quantum_s=float("nan"))
+
+    def test_infinite_sync_quantum_rejected(self):
+        with pytest.raises(ConfigurationError, match="sync quantum"):
+            run_for("sharded", 0.5, sync_quantum_s=float("inf"))
+
+    def test_rejected_run_leaves_the_mesh_runnable(self):
+        mesh = downtown_grid(1, 1, rng=0)
+        with pytest.raises(ConfigurationError):
+            mesh.run(float("nan"))
+        assert mesh.run(0.5).duration_s == 0.5
+
+
+@pytest.fixture
+def alarm():
+    """Fail a run that never returns, instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("run_sharded hung after a shard worker failed")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def fail_group(monkeypatch, key: str, mode: str) -> None:
+    """Make group ``key``'s first quantum raise (``"raise"``) or kill its
+    worker outright (``"exit"``); forked workers inherit the patch."""
+    advance = parallel._ShardGroup.advance
+
+    def failing(group, t_s, intents):
+        if group.key == key:
+            if mode == "raise":
+                raise RuntimeError("injected shard failure")
+            os._exit(3)
+        return advance(group, t_s, intents)
+
+    monkeypatch.setattr(parallel._ShardGroup, "advance", failing)
+
+
+class TestWorkerFailure:
+    @pytest.mark.parametrize("mode", ["raise", "exit"])
+    def test_failed_worker_raises_and_every_worker_is_reaped(
+        self, monkeypatch, alarm, mode
+    ):
+        # Two workers: the failing group's host dies while the other
+        # worker, healthy, waits for its next message.
+        fail_group(monkeypatch, "st00a01", mode)
+        with pytest.raises(ShardWorkerError, match="st00a01"):
+            run_sharded(downtown_grid(2, 2, rng=7), 2.0, workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestDowntownGrid:
