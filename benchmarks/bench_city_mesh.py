@@ -33,8 +33,8 @@ Alongside the 3-corridor experiment, the same file carries the
 (:func:`repro.sim.city.run_sharded`) with per-group compute *measured*
 (bench-layer wall clock around each shard's ``advance``; the library
 itself never reads the clock) and the N-worker makespan *modeled* from
-those measurements — this container has one core, so actually forking N
-workers measures contention, not scale-out. The model is labeled
+those measurements — forking N workers measures scale-out only on a
+host with N free cores, and contention on one with fewer. The model is labeled
 honestly in the JSON (``"mode": "modeled-makespan"``): it charges the
 coordinator's replay/merge as a serial Amdahl term and assigns shard
 times round-robin exactly as the engine does.
@@ -250,8 +250,8 @@ def bench_city_mesh(benchmark, report):
                 "note": (
                     "per-group compute measured on one core in-process; "
                     "N-worker makespan modeled as serial coordinator time "
-                    "plus the max round-robin worker load — this container "
-                    "cannot measure real N-core wall time"
+                    "plus the max round-robin worker load — real N-worker "
+                    "wall time needs N free cores (see cpu_cores)"
                 ),
                 "measured": {
                     "total_s": grid_total_s,

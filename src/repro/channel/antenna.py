@@ -11,6 +11,7 @@ triangle and, per tag, uses the pair whose measured angle lands closest to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,9 +22,26 @@ from .geometry import spatial_angle_rad, unit
 __all__ = ["AntennaPair", "TriangleArray"]
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy: geometry derived from it is cached, so
+    the source must not change under the cache."""
+    array = np.array(values, dtype=np.float64)
+    array.setflags(write=False)
+    return array
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class AntennaPair:
     """Two antenna elements used for one phase-difference measurement.
+
+    The element positions are stored as read-only copies, and the derived
+    baseline geometry (spacing, axis, midpoint) is computed once on first
+    use: a pole's pairs feed every AoA fix it makes.
 
     Attributes:
         first_m: (3,) world position of the reference element.
@@ -34,8 +52,8 @@ class AntennaPair:
     second_m: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "first_m", np.asarray(self.first_m, dtype=np.float64))
-        object.__setattr__(self, "second_m", np.asarray(self.second_m, dtype=np.float64))
+        object.__setattr__(self, "first_m", _frozen(self.first_m))
+        object.__setattr__(self, "second_m", _frozen(self.second_m))
         if self.first_m.shape != (3,) or self.second_m.shape != (3,):
             raise ConfigurationError("antenna positions must be 3-vectors")
         # Absolute tolerance only: the default relative tolerance would
@@ -44,20 +62,20 @@ class AntennaPair:
         if np.allclose(self.first_m, self.second_m, rtol=0.0, atol=1e-9):
             raise ConfigurationError("antenna elements must not coincide")
 
-    @property
+    @cached_property
     def spacing_m(self) -> float:
         """Baseline length d of Eq 10."""
         return float(np.linalg.norm(self.second_m - self.first_m))
 
-    @property
+    @cached_property
     def axis(self) -> np.ndarray:
-        """Unit vector from the first to the second element."""
-        return unit(self.second_m - self.first_m)
+        """Unit vector from the first to the second element (read-only)."""
+        return _read_only(unit(self.second_m - self.first_m))
 
-    @property
+    @cached_property
     def midpoint_m(self) -> np.ndarray:
-        """Cone apex used for localization."""
-        return (self.first_m + self.second_m) / 2.0
+        """Cone apex used for localization (read-only)."""
+        return _read_only((self.first_m + self.second_m) / 2.0)
 
     def true_spatial_angle_rad(self, point_m: np.ndarray) -> float:
         """Ground-truth alpha between this baseline and a world point."""
@@ -73,6 +91,10 @@ class TriangleArray:
     angles 90, 210 and 330 degrees so the three baselines are mutually
     rotated by 60 degrees.
 
+    The basis and centre are stored read-only, so the element positions
+    and the three :class:`AntennaPair` baselines are built once, on first
+    use, and shared by every later call.
+
     Attributes:
         center_m: (3,) world position of the triangle centroid.
         e1: first in-plane unit vector.
@@ -86,9 +108,9 @@ class TriangleArray:
     side_m: float = ANTENNA_SPACING_M
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center_m", np.asarray(self.center_m, dtype=np.float64))
-        object.__setattr__(self, "e1", unit(self.e1))
-        object.__setattr__(self, "e2", unit(self.e2))
+        object.__setattr__(self, "center_m", _frozen(self.center_m))
+        object.__setattr__(self, "e1", _read_only(unit(self.e1)))
+        object.__setattr__(self, "e2", _read_only(unit(self.e2)))
         if abs(float(np.dot(self.e1, self.e2))) > 1e-9:
             raise ConfigurationError("triangle basis vectors must be orthogonal")
         if self.side_m <= 0:
@@ -117,14 +139,14 @@ class TriangleArray:
     def circumradius_m(self) -> float:
         return self.side_m / np.sqrt(3.0)
 
-    @property
+    @cached_property
     def positions_m(self) -> np.ndarray:
-        """(3, 3) array of element positions (rows are elements)."""
+        """(3, 3) read-only array of element positions (rows are elements)."""
         angles = np.deg2rad([90.0, 210.0, 330.0])
         offsets = self.circumradius_m * (
             np.outer(np.cos(angles), self.e1) + np.outer(np.sin(angles), self.e2)
         )
-        return self.center_m + offsets
+        return _read_only(self.center_m + offsets)
 
     def element(self, index: int) -> np.ndarray:
         """World position of one element (0, 1 or 2)."""
@@ -132,13 +154,13 @@ class TriangleArray:
 
     def pairs(self) -> list[AntennaPair]:
         """The three switchable baselines, as (element, element) index pairs
-        (0,1), (1,2), (2,0)."""
+        (0,1), (1,2), (2,0). A fresh list of the array's cached pairs."""
+        return list(self._pairs)
+
+    @cached_property
+    def _pairs(self) -> tuple[AntennaPair, ...]:
         positions = self.positions_m
-        return [
-            AntennaPair(positions[0], positions[1]),
-            AntennaPair(positions[1], positions[2]),
-            AntennaPair(positions[2], positions[0]),
-        ]
+        return tuple(AntennaPair(positions[i], positions[j]) for i, j in self.pair_indices())
 
     def pair_indices(self) -> list[tuple[int, int]]:
         """Element index pairs matching :meth:`pairs` order."""

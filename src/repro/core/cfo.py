@@ -29,6 +29,7 @@ __all__ = [
     "CollisionPeak",
     "refine_frequency",
     "estimate_channel",
+    "estimate_channels",
     "extract_cfo_peaks",
     "extract_collision_peaks",
 ]
@@ -104,6 +105,26 @@ def estimate_channel(wave: Waveform, cfo_hz: float) -> complex:
     difference of §6.
     """
     return 2.0 * single_bin_dft(wave, cfo_hz)
+
+
+def estimate_channels(waves, cfo_hz: float) -> np.ndarray:
+    """:func:`estimate_channel` for every antenna of one capture.
+
+    The probe exponential depends only on the time base (start, length,
+    rate), which the antennas of a capture share, so it is computed once
+    per distinct time base instead of once per antenna. Each entry is
+    bit-identical to ``estimate_channel(wave, cfo_hz)``; antennas whose
+    time bases differ simply get their own probe.
+    """
+    probes: dict[tuple, np.ndarray] = {}
+    channels = []
+    for wave in waves:
+        key = (wave.t0_s, wave.n_samples, wave.sample_rate_hz)
+        probe = probes.get(key)
+        if probe is None:
+            probe = probes[key] = np.exp(-2j * np.pi * cfo_hz * wave.times())
+        channels.append(2.0 * complex(np.mean(wave.samples * probe)))
+    return np.array(channels)
 
 
 @dataclass(frozen=True)
@@ -184,9 +205,7 @@ def extract_collision_peaks(
                 freq,
                 span_hz=spectra[strongest].resolution_hz / 2.0,
             )
-        channels = np.array(
-            [estimate_channel(wave, freq) for wave in collision.antennas]
-        )
+        channels = estimate_channels(collision.antennas, freq)
         peaks.append(
             CollisionPeak(
                 cfo_hz=freq,

@@ -180,12 +180,6 @@ class CollisionCounter:
         shift_samples: window offsets for the "shift" method.
         shift_tolerance: noise-independent floor of the shift test's
             relative-magnitude-change threshold.
-        reuse_probe_spectra: compute each burst's per-capture spectra,
-            averaged magnitudes and CFAR floors once and share them
-            between the density probe and the decision pass (same
-            captures -> same spectra -> same floor). Off reproduces the
-            recompute-everything behavior, kept for the throughput
-            ablation benchmark; the outputs are identical either way.
         probe: how the density probe counts band crowding —
             ``"dense"`` (default: CFAR peak detection on the averaged
             magnitude spectrum at ``probe_snr_db``, the bit-exact
@@ -200,12 +194,6 @@ class CollisionCounter:
             and its dedicated shift-randomness seed (a fresh seeded
             stream per probe call keeps ``count_multi`` deterministic
             and stateless).
-        batch_fit: solve the per-burst joint tone fit as one stacked
-            multi-column least squares when the captures share a time
-            base (they do whenever a burst re-queries the same scene),
-            instead of one ``lstsq`` per capture. Bit-exact either way
-            (LAPACK solves multi-RHS columns independently); off is the
-            per-capture loop, kept for the throughput ablation.
         obs: nullable observability hook (see :mod:`repro.obs`): counts
             passes by regime and spike verdicts by label. Never affects
             the estimate.
@@ -236,11 +224,9 @@ class CollisionCounter:
     shift_tolerance: float = 0.18
     search_lo_hz: float = DEFAULT_SEARCH_LO_HZ
     search_hi_hz: float = DEFAULT_SEARCH_HI_HZ
-    reuse_probe_spectra: bool = True
     probe: str = "dense"
     sfft_max_tones: int = 24
     sfft_seed: int = 2015
-    batch_fit: bool = True
     obs: object = None
 
     def __post_init__(self) -> None:
@@ -279,7 +265,7 @@ class CollisionCounter:
         # averaged magnitudes and the CFAR floor depend only on the
         # captures, so they are computed once and shared (the per-round
         # hot path of the city event engine runs through here).
-        shared = self._spectral_state(waves) if self.reuse_probe_spectra else None
+        shared = self._spectral_state(waves)
         # Regime probe: the raw candidate count at a permissive threshold
         # cleanly separates sparse scenes (few tags + structured-floor
         # flukes) from dense ones (many tags, Gaussianized floor).
@@ -300,13 +286,11 @@ class CollisionCounter:
         )
         return spectra, avg_mag, floors
 
-    def _probe_candidates(self, waves: list[Waveform], shared=None) -> int:
+    def _probe_candidates(self, waves: list[Waveform], shared) -> int:
         """Candidate spike count at the permissive probe threshold."""
         if self.probe == "sfft":
             return self._sfft_probe_candidates(waves)
-        spectra, avg_mag, floors = (
-            shared if shared is not None else self._spectral_state(waves)
-        )
+        spectra, avg_mag, floors = shared
         peaks = find_peaks_in_magnitudes(
             avg_mag,
             spectra[0].bin_hz,
@@ -370,11 +354,9 @@ class CollisionCounter:
     # -- one detection/classification pass ----------------------------------------
 
     def _count_pass(
-        self, waves: list[Waveform], snr_db: float, dense_mode: bool, shared=None
+        self, waves: list[Waveform], snr_db: float, dense_mode: bool, shared
     ) -> CountEstimate:
-        spectra, avg_mag, floors = (
-            shared if shared is not None else self._spectral_state(waves)
-        )
+        spectra, avg_mag, floors = shared
         bin_hz = spectra[0].bin_hz
         raw_peaks = find_peaks_in_magnitudes(
             avg_mag,
@@ -629,13 +611,11 @@ class CollisionCounter:
         per-capture solve; at 26+ columns the divide-and-conquer kernel
         (SMLSIZ = 25) blocks the RHS application differently and drifts
         by an ulp, so wider bases — and bursts whose captures disagree
-        on the time base, or ``batch_fit=False``, the ablation — fall
-        back to the per-capture loop.
+        on the time base — fall back to the per-capture loop.
         """
         first = waves[0]
         if (
-            not self.batch_fit
-            or len(waves) == 1
+            len(waves) == 1
             or freqs.size > 25
             or any(
                 w.n_samples != first.n_samples

@@ -22,7 +22,7 @@ from ..channel.geometry import RoadSegment, aoa_cone_conic, intersect_conics
 from ..constants import PAIR_USABLE_MAX_DEG, PAIR_USABLE_MIN_DEG, WAVELENGTH_M
 from ..errors import GeometryError, LocalizationError
 from ..utils import wrap_angle
-from .cfo import estimate_channel, extract_collision_peaks
+from .cfo import estimate_channels, extract_collision_peaks
 
 __all__ = [
     "aoa_from_phase",
@@ -147,17 +147,16 @@ class AoAEstimator:
     def estimate_for_cfo(self, collision: ReceivedCollision, cfo_hz: float) -> AoAEstimate:
         """AoA of the tag whose spike sits at (or near) ``cfo_hz``.
 
-        Reads the channel at each antenna, then forms the phase difference
-        per pair. All three pairs are computed; the one nearest broadside
-        is selected, emulating the antenna switch of Fig 6.
+        Reads the channel at each antenna (one probe exponential shared
+        by every antenna on the same time base), then forms the phase
+        difference per pair. All three pairs are computed; the one nearest
+        broadside is selected, emulating the antenna switch of Fig 6.
         """
         if collision.n_antennas < 3:
             raise LocalizationError(
                 f"triangle AoA needs 3 antenna captures, got {collision.n_antennas}"
             )
-        channels = np.array(
-            [estimate_channel(wave, cfo_hz) for wave in collision.antennas[:3]]
-        )
+        channels = estimate_channels(collision.antennas[:3], cfo_hz)
         return self.estimate_from_channels(cfo_hz, channels)
 
     def estimate_from_decode(self, result) -> AoAEstimate:

@@ -89,7 +89,16 @@ def local_noise_floor(
     under-estimates near strong tags and sprays false peaks there. This is
     an ordered-statistic CFAR: for every bin, the floor is the median of
     ``window_bins`` neighbours with the closest ``guard_bins`` (which may
-    contain the peak itself) excluded.
+    contain the peak itself) excluded. Near the band edges the window is
+    clipped to the band; a bin whose clipped window holds nothing but
+    guard bins falls back to the whole clipped window.
+
+    §5 runs this twice per capture over the whole CFO band, so both the
+    interior and the clipped edge windows are evaluated as 2-D arrays with
+    one partition each. The arithmetic is ``np.median``'s —
+    the middle order statistic, or the two middle ones averaged as
+    ``(a + b) / 2`` — so the floors are bit-identical to a per-bin
+    median for any NaN-free input.
     """
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
     n = magnitudes.size
@@ -100,51 +109,45 @@ def local_noise_floor(
     half = window_bins // 2
     scale = np.sqrt(np.log(4.0))
     floors = np.empty(n)
-    # Interior bins all share one window/guard shape, so their medians
-    # come from a single strided view and one axis-wise median — the
-    # per-bin Python loop was the counting chain's hot spot (§5 runs
-    # this twice per capture over the whole CFO band). Edge bins keep
-    # the scalar path; their clipped windows have irregular shapes.
-    interior_lo, interior_hi = half, n - half  # k with a full window
+    offsets = np.arange(-half, half + 1)
+    outside_guard = np.abs(offsets) > guard_bins
+    interior_lo, interior_hi = min(half, n), n - half  # k with a full window
     if interior_hi > interior_lo:
+        # Every interior window has the same even number of kept bins.
+        # ``kept`` is a fresh copy, so it is partitioned in place at the
+        # upper middle rank; the lower middle order statistic is then the
+        # largest element left of it.
         windows = np.lib.stride_tricks.sliding_window_view(magnitudes, window_bins)
-        keep = np.concatenate(
-            [
-                np.arange(0, half - guard_bins),
-                np.arange(half + guard_bins + 1, window_bins),
-            ]
+        kept = windows[:, outside_guard]
+        mid = kept.shape[1] // 2
+        kept.partition(mid, axis=1)
+        lower = kept[:, :mid].max(axis=1)
+        floors[interior_lo:interior_hi] = (lower + kept[:, mid]) / 2.0 / scale
+    edges = np.r_[0:interior_lo, max(interior_hi, interior_lo):n]
+    if edges.size:
+        # Clipped windows have irregular sizes m; pad each row to the full
+        # window width with (W - m) // 2 -inf and the rest +inf. The padding
+        # sorts to the row ends, so the neighbourhood's middle order
+        # statistics sit at fixed padded ranks W // 2 - 1 and W // 2.
+        index = edges[:, None] + offsets[None, :]
+        inside = (index >= 0) & (index < n)
+        use = inside & outside_guard[None, :]
+        only_guard = ~use.any(axis=1)
+        use[only_guard] = inside[only_guard]
+        m = use.sum(axis=1)
+        n_low = (window_bins - m) // 2
+        pad_rank = np.cumsum(~use, axis=1)
+        padded = np.where(
+            use,
+            magnitudes[np.clip(index, 0, n - 1)],
+            np.where(pad_rank <= n_low[:, None], -np.inf, np.inf),
         )
-        floors[interior_lo:interior_hi] = (
-            np.median(windows[:, keep], axis=1) / scale
-        )
-    for k in (*range(min(interior_lo, n)), *range(max(interior_hi, interior_lo, 0), n)):
-        lo = max(0, k - half)
-        hi = min(n, k + half + 1)
-        neighbourhood = np.concatenate(
-            [magnitudes[lo : max(lo, k - guard_bins)], magnitudes[min(hi, k + guard_bins + 1) : hi]]
-        )
-        if neighbourhood.size == 0:
-            neighbourhood = magnitudes[lo:hi]
-        floors[k] = _median(neighbourhood) / scale
+        padded.partition((half - 1, half), axis=1)
+        rows = np.arange(edges.size)
+        lower = padded[rows, n_low + (m - 1) // 2]
+        upper = padded[rows, n_low + m // 2]
+        floors[edges] = np.where(m % 2 == 1, lower, (lower + upper) / 2.0) / scale
     return floors
-
-
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a 1-D array without its dispatch overhead.
-
-    The edge bins of :func:`local_noise_floor` each need one small
-    median; going through ``np.median`` costs ~45 us of wrapper per
-    call, which multiplied by the window width dominated the §5 CFAR
-    floor. This replicates its arithmetic exactly — partition on the
-    middle index (both middles when even, averaged as ``sum / 2``, the
-    same float op ``np.mean`` performs) — so floors are bit-identical.
-    """
-    n = values.size
-    mid = n // 2
-    if n % 2:
-        return float(np.partition(values, mid)[mid])
-    part = np.partition(values, [mid - 1, mid])
-    return float((part[mid - 1] + part[mid]) / 2.0)
 
 
 def _band_bounds(
@@ -225,23 +228,30 @@ def find_peaks_in_magnitudes(
         )
     thresholds = floors * db_to_amplitude(min_snr_db)
 
-    # Local maxima above their local threshold.
-    candidates = []
-    for k in range(1, band.size - 1):
-        if band[k] >= thresholds[k] and band[k] >= band[k - 1] and band[k] > band[k + 1]:
-            candidates.append(k)
-    # Band edges can hold real peaks too.
-    if band.size >= 2 and band[0] >= thresholds[0] and band[0] > band[1]:
-        candidates.insert(0, 0)
-    if band.size >= 2 and band[-1] >= thresholds[-1] and band[-1] > band[-2]:
-        candidates.append(band.size - 1)
+    # Local maxima above their local threshold; the band edges can hold
+    # real peaks too (one neighbour to beat).
+    is_peak = np.zeros(band.size, dtype=bool)
+    centre = band[1:-1]
+    is_peak[1:-1] = (
+        (centre >= thresholds[1:-1]) & (centre >= band[:-2]) & (centre > band[2:])
+    )
+    if band.size >= 2:
+        is_peak[0] = band[0] >= thresholds[0] and band[0] > band[1]
+        is_peak[-1] = band[-1] >= thresholds[-1] and band[-1] > band[-2]
+    candidates = np.flatnonzero(is_peak)
 
-    # Greedy non-maximum suppression, strongest first.
-    candidates.sort(key=lambda k: -band[k])
+    # Greedy non-maximum suppression, strongest first; a stable sort keeps
+    # equal magnitudes in ascending-bin order.
+    candidates = candidates[np.argsort(-band[candidates], kind="stable")]
+    # A kept peak suppresses every candidate closer than the separation.
+    radius = min_separation_bins - 1
+    suppressed = np.zeros(band.size, dtype=bool)
     kept: list[int] = []
-    for k in candidates:
-        if all(abs(k - other) >= min_separation_bins for other in kept):
+    for k in candidates.tolist():
+        if not suppressed[k]:
             kept.append(k)
+            if radius > 0:
+                suppressed[max(0, k - radius) : k + radius + 1] = True
         if max_peaks is not None and len(kept) >= max_peaks:
             break
 

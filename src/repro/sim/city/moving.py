@@ -23,6 +23,7 @@ The per-tag CFO-mixed baseband templates are precomputed once in a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,11 +131,13 @@ class MovingCollisionSource:
         noise_power_w: float = 0.0,
         rng=None,
     ):
+        # A read-only copy: the pole position derived from it is cached.
         self.antenna_positions_m = np.atleast_2d(
-            np.asarray(antenna_positions_m, dtype=np.float64)
+            np.array(antenna_positions_m, dtype=np.float64)
         )
         if self.antenna_positions_m.shape[1] != 3:
             raise ConfigurationError("antenna positions must be (K, 3)")
+        self.antenna_positions_m.setflags(write=False)
         self.channel = channel
         self.bank = bank
         self.noise_power_w = noise_power_w
@@ -144,9 +147,12 @@ class MovingCollisionSource:
     def n_antennas(self) -> int:
         return int(self.antenna_positions_m.shape[0])
 
-    @property
+    @cached_property
     def pole_position_m(self) -> np.ndarray:
-        return self.antenna_positions_m.mean(axis=0)
+        """Centroid of the antenna elements (read-only, computed once)."""
+        position = self.antenna_positions_m.mean(axis=0)
+        position.setflags(write=False)
+        return position
 
     def query(
         self, tags: list[MovingTag], query_start_s: float, corrupted: bool = False

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 
@@ -271,10 +272,11 @@ class AirLog:
 
         ``interference_range_m`` gates corruption by along-city distance
         between the query and the response (mesh worlds; positions or
-        range missing fall back to "everything interferes"). The sweep
-        is cached until the next record, so per-corridor result
-        collection over one shared mesh log pays for it once (callers
-        must not mutate the returned list).
+        range missing fall back to "everything interferes"). The result
+        is :meth:`response_corrupted` applied to every response, in
+        record order. It is computed as a sweep and cached until the next
+        record, so per-corridor result collection over one shared mesh
+        log pays for it once (callers must not mutate the returned list).
         """
         key = (len(self.transmissions), interference_range_m)
         cache = self._corrupted_cache
@@ -282,13 +284,18 @@ class AirLog:
             return cache[1]
         queries = self.sorted_queries()
         starts = [q.start_s for q in queries]
+        # Running maximum of query ends in start order: every query before
+        # the first index whose running end passes a response's start has
+        # ended by then, so it cannot overlap that response.
+        reach_ends = list(itertools.accumulate((q.end_s for q in queries), max))
         corrupted = []
         for response in self.responses():
+            lo = bisect.bisect_right(reach_ends, response.start_s)
             # Only queries starting before the response ends can overlap.
             hi = bisect.bisect_left(starts, response.end_s)
             if any(
                 q.overlaps(response) and q.reaches(response.x_m, interference_range_m)
-                for q in queries[:hi]
+                for q in queries[lo:hi]
             ):
                 corrupted.append(response)
         self._corrupted_cache = (key, corrupted)

@@ -82,6 +82,39 @@ class TestTriangleArray:
                 e2=np.array([1.0, 1.0, 0.0]),
             )
 
+    def test_cached_geometry_is_read_only(self, array):
+        """Pairs and positions are built once per array and shared, so
+        no caller may write into them."""
+        pair = array.pairs()[0]
+        for cached in (pair.first_m, pair.second_m, pair.axis, pair.midpoint_m):
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
+        with pytest.raises(ValueError):
+            array.positions_m[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            array.center_m[0] = 1.0
+
+    def test_pairs_stable_across_calls(self, array):
+        first = array.pairs()
+        first.reverse()  # a caller's list is its own
+        again = array.pairs()
+        assert again == array.pairs()
+        assert [p.spacing_m for p in again] == [
+            AntennaPair(array.positions_m[i], array.positions_m[j]).spacing_m
+            for i, j in array.pair_indices()
+        ]
+        for pair, (i, j) in zip(again, array.pair_indices()):
+            assert np.array_equal(pair.first_m, array.positions_m[i])
+            assert np.array_equal(pair.second_m, array.positions_m[j])
+
+    def test_pair_copies_caller_positions(self):
+        first = np.zeros(3)
+        pair = AntennaPair(first, np.array([0.0, 2.0, 0.0]))
+        axis = pair.axis.copy()
+        first[1] = 5.0  # the caller's array stays writable and separate
+        assert np.array_equal(pair.axis, axis)
+        assert pair.first_m[1] == 0.0
+
     def test_element_accessor(self, array):
         assert np.allclose(array.element(1), array.positions_m[1])
 

@@ -1,0 +1,77 @@
+"""Fast-tier golden pins: numeric drift in the radio kernels, per push.
+
+The other golden sha256 pins run whole-corridor or whole-mesh worlds and
+are marked ``slow``, so the per-push tier cannot see a kernel edit that
+moves a number. These two pins are small enough for that tier (about
+2 s together) and still run every per-round kernel — CFAR floor, peak
+scan, tone fit, §6 AoA and lane projection, decoding — through the
+corridor and the sharded mesh:
+
+* a 3-pole corridor's handoff ledger and its sighting stream (which
+  carries every localized fix's x coordinate, so the AoA path is pinned
+  too);
+* the summary of a 2x2 ``downtown_grid`` run through ``run_sharded``
+  with two forked workers.
+
+The digests were captured before the per-round kernels were
+vectorised; any change that moves them changes the simulation's output.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from repro.sim.city import downtown_grid, run_sharded
+
+from tests.test_city_corridor import small_corridor
+
+CORRIDOR_LEDGER_SHA256 = (
+    "be588fcfdcd02d1e57fed6c36c555dc56369b0c74ddbe7d2d490230a8031444c"
+)
+CORRIDOR_SIGHTINGS_SHA256 = (
+    "721fa4ecac8473375ffede6e750117a7a566bed5c389466a2614a7859f7664fd"
+)
+GRID_SUMMARY_SHA256 = (
+    "dfd82d60df953d7a854661085a19537da2e781d8084a31c837c79c19a9ff4989"
+)
+LEDGER_FIELDS = ("t_s", "station", "kind", "cfo_hz", "tag_id", "from_station", "n_queries")
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _sighting_row(station, tag_id, cfo_hz, t_s, x_m, localized, kind, n_queries):
+    return [
+        station.name,
+        int(tag_id),
+        float(cfo_hz),
+        float(t_s),
+        float(x_m),
+        bool(localized),
+        str(kind),
+        int(n_queries),
+    ]
+
+
+class TestFastGoldenPins:
+    def test_corridor_ledger_and_sightings(self):
+        sightings = []
+
+        def hook(corridor, station, *fields):
+            sightings.append(_sighting_row(station, *fields))
+
+        result = small_corridor(seed=17, on_sighting=hook).run(4.0)
+        rows = [
+            tuple(getattr(record, f) for f in LEDGER_FIELDS)
+            for record in result.ledger.records
+        ]
+        assert _digest(repr(rows)) == CORRIDOR_LEDGER_SHA256
+        assert sum(row[5] for row in sightings) > 0  # localized fixes pinned
+        assert _digest(json.dumps(sightings)) == CORRIDOR_SIGHTINGS_SHA256
+
+    def test_sharded_grid_summary(self):
+        result = run_sharded(downtown_grid(2, 2, rng=11, rate_per_s=0.5), 8.0, workers=2)
+        summary = json.dumps(result.summary(), sort_keys=True)
+        assert _digest(summary) == GRID_SUMMARY_SHA256

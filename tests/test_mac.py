@@ -1,5 +1,6 @@
 """Unit tests for repro.core.mac and repro.sim.medium (§9)."""
 
+import numpy as np
 import pytest
 
 from repro.constants import (
@@ -243,6 +244,48 @@ class TestAirLog:
             legacy_response
         ]
         assert near.reaches(0.0, 500.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_corrupted_responses_sweep_matches_brute_force(self, seed):
+        """The sweep returns exactly the responses the per-response
+        brute-force check flags, in record order. The logs record out of
+        time order (bounded jitter plus a few stragglers), mix positioned
+        and unpositioned (``x_m=None``) transmissions, include queries
+        far longer than the standard 20 µs, and are checked with and
+        without a distance gate."""
+        rng = np.random.default_rng(seed)
+        air = AirLog()
+        t = 0.0
+        for _ in range(400):
+            t += float(rng.exponential(150e-6))
+            start = t + float(rng.uniform(-300e-6, 300e-6))
+            if rng.random() < 0.03:
+                start -= float(rng.uniform(0.0, 20e-3))  # a late record
+            x_m = None if rng.random() < 0.3 else float(rng.uniform(0.0, 3000.0))
+            roll = rng.random()
+            if roll < 0.35:
+                air.record_query(f"r{rng.integers(4)}", start, x_m=x_m)
+            elif roll < 0.4:
+                air.record(
+                    Transmission(
+                        TxKind.QUERY,
+                        "long",
+                        start,
+                        start + float(rng.uniform(0.0, 5e-3)),
+                        x_m=x_m,
+                    )
+                )
+            else:
+                air.record_response(f"tag{rng.integers(20)}", start, x_m=x_m)
+        for range_m in (None, 500.0, 0.0):
+            expected = [
+                r
+                for r in air.responses()
+                if air.response_corrupted(r, interference_range_m=range_m)
+            ]
+            assert expected, "the random log must exercise corruption"
+            swept = air.corrupted_responses(interference_range_m=range_m)
+            assert [id(r) for r in swept] == [id(r) for r in expected]
 
 
 class TestMedium:

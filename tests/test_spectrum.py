@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.constants import CFO_BIN_COUNT, FFT_RESOLUTION_HZ, READER_LO_HZ
 from repro.dsp.peaks import (
@@ -14,6 +15,7 @@ from repro.dsp.peaks import (
 from repro.dsp.spectrum import fft_spectrum, single_bin_dft
 from repro.errors import SpectrumError
 from repro.phy.waveform import Waveform
+from repro.utils import db_to_amplitude
 from tests.conftest import make_tag
 
 FS = 4e6
@@ -185,3 +187,128 @@ class TestFindPeaks:
         noisy = Waveform(wave.samples + rng.normal(0, 0.02, wave.n_samples), FS)
         peaks = find_spectral_peaks(fft_spectrum(noisy), 10e3, 1.25e6)
         assert peaks[0].snr > 10.0
+
+
+# -- scalar per-bin references for the vectorised CFAR kernels ---------------
+
+
+def reference_floor(magnitudes, window_bins=65, guard_bins=3):
+    """Per-bin CFAR floor, one neighbourhood and one ``np.median`` at a
+    time: the window clipped to the band, the guard bins dropped, and
+    the whole clipped window used when only guard bins remain."""
+    n = magnitudes.size
+    half = window_bins // 2
+    floors = np.empty(n)
+    for k in range(n):
+        lo, hi = max(0, k - half), min(n, k + half + 1)
+        neighbourhood = np.concatenate(
+            [
+                magnitudes[lo : max(lo, k - guard_bins)],
+                magnitudes[min(hi, k + guard_bins + 1) : hi],
+            ]
+        )
+        if neighbourhood.size == 0:
+            neighbourhood = magnitudes[lo:hi]
+        floors[k] = np.median(neighbourhood) / np.sqrt(np.log(4.0))
+    return floors
+
+
+def reference_peak_bins(band, floors, min_snr_db, min_separation_bins, max_peaks):
+    """Band-relative bins the peak scan keeps, one bin at a time: local
+    maxima over their threshold (the band edges need only beat their one
+    neighbour), then greedy non-max suppression, strongest first."""
+    thresholds = floors * db_to_amplitude(min_snr_db)
+    candidates = [
+        k
+        for k in range(band.size)
+        if band[k] >= thresholds[k]
+        and band.size >= 2
+        and (k == 0 or band[k] >= band[k - 1])
+        and (k == band.size - 1 or band[k] > band[k + 1])
+        and (k > 0 or band[0] > band[1])
+        and (k < band.size - 1 or band[-1] > band[-2])
+    ]
+    candidates.sort(key=lambda k: -band[k])
+    kept = []
+    for k in candidates:
+        if all(abs(k - other) >= min_separation_bins for other in kept):
+            kept.append(k)
+        if max_peaks is not None and len(kept) >= max_peaks:
+            break
+    return sorted(kept)
+
+
+@st.composite
+def magnitude_bands(draw, max_bins=700):
+    """Magnitude spectra of 0..max_bins bins: Rayleigh floors with
+    spikes, or values from a tiny alphabet so ties are everywhere."""
+    n = draw(st.integers(min_value=0, max_value=max_bins))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.integers(0, 4, n).astype(np.float64)
+    magnitudes = rng.rayleigh(1.0, n)
+    if n:
+        magnitudes[rng.integers(0, n, 1 + n // 50)] *= rng.uniform(3.0, 40.0)
+    return magnitudes
+
+
+cfar_shapes = st.one_of(
+    st.just((65, 3)),
+    st.integers(min_value=0, max_value=6).flatmap(
+        lambda guard: st.tuples(
+            st.integers(min_value=0, max_value=45).map(lambda j: 2 * guard + 3 + 2 * j),
+            st.just(guard),
+        )
+    ),
+)
+
+
+class TestCfarKernelsMatchScalarReference:
+    @settings(max_examples=150, deadline=None)
+    @given(magnitude_bands(), cfar_shapes)
+    def test_local_noise_floor(self, magnitudes, shape):
+        window_bins, guard_bins = shape
+        floors = local_noise_floor(magnitudes, window_bins, guard_bins)
+        assert np.array_equal(
+            floors, reference_floor(magnitudes, window_bins, guard_bins)
+        )
+
+    def test_local_noise_floor_below_one_window(self):
+        for n in range(0, 70):
+            magnitudes = np.random.default_rng(n).rayleigh(1.0, n)
+            assert np.array_equal(
+                local_noise_floor(magnitudes), reference_floor(magnitudes)
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        magnitude_bands(),
+        st.data(),
+        st.sampled_from([0.0, 3.0, 6.0, 12.0]),
+        st.integers(min_value=-1, max_value=6),
+        st.sampled_from([None, 0, 1, 3]),
+    )
+    def test_find_peaks_in_magnitudes(
+        self, magnitudes, data, min_snr_db, min_separation_bins, max_peaks
+    ):
+        n = magnitudes.size
+        if n < 2:
+            return
+        lo_bin = data.draw(st.integers(min_value=0, max_value=n - 2))
+        hi_bin = data.draw(st.integers(min_value=lo_bin + 1, max_value=n - 1))
+        peaks = find_peaks_in_magnitudes(
+            magnitudes,
+            1.0,
+            float(lo_bin),
+            float(hi_bin),
+            min_snr_db=min_snr_db,
+            min_separation_bins=min_separation_bins,
+            max_peaks=max_peaks,
+        )
+        band = magnitudes[lo_bin : hi_bin + 1]
+        floors = reference_floor(band)
+        expected = reference_peak_bins(
+            band, floors, min_snr_db, min_separation_bins, max_peaks
+        )
+        assert [p.bin_index - lo_bin for p in peaks] == expected
+        assert [p.floor for p in peaks] == [float(floors[k]) for k in expected]
