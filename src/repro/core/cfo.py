@@ -20,7 +20,7 @@ import numpy as np
 
 from ..constants import CFO_SPAN_HZ
 from ..dsp.peaks import find_peaks_in_magnitudes, find_spectral_peaks
-from ..dsp.spectrum import fft_spectrum, single_bin_dft
+from ..dsp.spectrum import fft_spectrum
 from ..errors import SpectrumError
 from ..phy.waveform import Waveform
 
@@ -104,21 +104,26 @@ def estimate_channel(wave: Waveform, cfo_hz: float) -> complex:
     same capture are directly comparable — their ratio is the AoA phase
     difference of §6.
     """
-    return 2.0 * single_bin_dft(wave, cfo_hz)
+    return complex(estimate_channels([wave], cfo_hz)[0])
 
 
 def estimate_channels(waves, cfo_hz: float) -> np.ndarray:
     """:func:`estimate_channel` for every antenna of one capture.
 
-    The probe exponential depends only on the time base (start, length,
+    Each entry is ``2 * single_bin_dft(wave, cfo_hz)``, bit for bit. The
+    probe exponential depends only on the time base (start, length,
     rate), which the antennas of a capture share, so it is computed once
-    per distinct time base instead of once per antenna. Each entry is
-    bit-identical to ``estimate_channel(wave, cfo_hz)``; antennas whose
+    per distinct time base instead of once per antenna; antennas whose
     time bases differ simply get their own probe.
+
+    Raises:
+        SpectrumError: if a capture is empty.
     """
     probes: dict[tuple, np.ndarray] = {}
     channels = []
     for wave in waves:
+        if wave.n_samples == 0:
+            raise SpectrumError("cannot read a channel off an empty capture")
         key = (wave.t0_s, wave.n_samples, wave.sample_rate_hz)
         probe = probes.get(key)
         if probe is None:

@@ -6,7 +6,13 @@ import pytest
 from repro.channel.antenna import TriangleArray
 from repro.channel.collision import StaticCollisionSimulator
 from repro.channel.propagation import LosChannel
-from repro.core.cfo import estimate_channel, extract_cfo_peaks, refine_frequency
+from repro.core.cfo import (
+    estimate_channel,
+    estimate_channels,
+    extract_cfo_peaks,
+    refine_frequency,
+)
+from repro.dsp.spectrum import single_bin_dft
 from repro.errors import SpectrumError
 from repro.phy.waveform import Waveform
 from tests.conftest import make_tag
@@ -64,6 +70,50 @@ class TestEstimateChannel:
         h1 = estimate_channel(collision.antenna(1), 350e3)
         truth = collision.truth[0].channels
         assert h1 / h0 == pytest.approx(truth[1] / truth[0], rel=1e-3)
+
+    def test_estimate_channels_shared_time_base_bit_exact(self):
+        """The shared-probe readout equals the per-antenna Eq 5 readout
+        and ``2 * single_bin_dft`` bit for bit on one capture."""
+        tags = [make_tag(cfo, seed=i) for i, cfo in enumerate((210e3, 350e3, 777e3))]
+        array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
+        collision = StaticCollisionSimulator(tags, array.positions_m, LosChannel(), rng=2).query(
+            0.0013
+        )
+        for cfo in (210e3, 350.4e3, 777e3):
+            shared = estimate_channels(collision.antennas, cfo)
+            for k, wave in enumerate(collision.antennas):
+                assert shared[k] == estimate_channel(wave, cfo)
+                assert shared[k] == 2.0 * single_bin_dft(wave, cfo)
+
+    def test_estimate_channels_differing_time_bases_bit_exact(self):
+        """Antennas with a different start, length or rate each get their
+        own probe; every entry still equals the per-antenna readout."""
+        rng = np.random.default_rng(9)
+
+        def noise(n):
+            return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+        waves = [
+            Waveform(noise(512), FS, 0.0),
+            Waveform(noise(512), FS, 3.1e-4),
+            Waveform(noise(300), FS, 0.0),
+            Waveform(noise(512), FS / 2, 0.0),
+            Waveform(noise(512), FS, 3.1e-4),
+        ]
+        shared = estimate_channels(waves, 123.4e3)
+        assert shared.shape == (len(waves),)
+        for k, wave in enumerate(waves):
+            assert shared[k] == estimate_channel(wave, 123.4e3)
+            assert shared[k] == 2.0 * single_bin_dft(wave, 123.4e3)
+
+    def test_empty_capture_rejected(self):
+        empty = Waveform(np.zeros(0, dtype=complex), FS, 0.0)
+        with pytest.raises(SpectrumError):
+            single_bin_dft(empty, 1e3)
+        with pytest.raises(SpectrumError):
+            estimate_channel(empty, 1e3)
+        with pytest.raises(SpectrumError):
+            estimate_channels([Waveform.silence(1e-4, FS), empty], 1e3)
 
 
 class TestExtractCfoPeaks:
