@@ -15,11 +15,14 @@ check: lint analyze test
 
 check-fast: lint analyze test-fast
 
-# Docs tier: intra-repo links must resolve and the city-mesh example
-# must run end to end (short simulation via REPRO_MESH_DURATION_S).
+# Docs tier: intra-repo links must resolve, and the city-mesh example
+# (short simulation via REPRO_MESH_DURATION_S) and the reader-network
+# example (the round driver's only consumer outside the tests) must run
+# end to end.
 check-docs:
 	$(PYTHON) tools/check_links.py
 	REPRO_MESH_DURATION_S=12 $(PYTHON) examples/city_mesh.py
+	$(PYTHON) examples/reader_network.py
 
 lint:
 	$(PYTHON) tools/lint.py

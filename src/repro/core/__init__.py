@@ -7,6 +7,8 @@
 * :mod:`repro.core.speed` — speed estimation and §7 error bounds.
 * :mod:`repro.core.decoding` — coherent-combining ID decoder (§8).
 * :mod:`repro.core.reader` — the CaraokeReader facade.
+* :mod:`repro.core.identity` — per-pole tag state: cached ids, last fixes,
+  the shared localizer loop (§6, §7).
 * :mod:`repro.core.network` — multi-reader batch processing (§12.5).
 * :mod:`repro.core.mac` — reader-side CSMA rules (§9).
 """
@@ -46,13 +48,8 @@ from .speed import (
 )
 from .decoding import CoherentDecoder, DecodeResult, DecodeSession, MultiTargetCombiner
 from .reader import CaraokeReader, ReaderReport
-from .network import (
-    IdentityCache,
-    ReaderNetwork,
-    ReaderStation,
-    StationReport,
-    resolve_cached_ids,
-)
+from .identity import IdentityCache, resolve_cached_ids
+from .network import ReaderNetwork, ReaderStation, StationReport
 from .mac import CsmaState, ReaderMac
 
 __all__ = [

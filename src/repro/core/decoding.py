@@ -35,7 +35,7 @@ Two execution paths implement the same math:
   algorithm, kept deliberately simple (it *is* §8 as written,
   single-antenna).
 * :class:`MultiTargetCombiner` — the production path used by
-  :class:`DecodeSession` and the :mod:`repro.core.network` batch layer.
+  :class:`DecodeSession`, which every station engine opens.
   It is **incremental** (per-(target, antenna) accumulator rows advance
   one capture at a time and never re-sum their prefix), attempts
   demodulation only at *new* capture counts, and is **batched** across
@@ -60,7 +60,6 @@ the ``q_{j,a}`` matrix — no second pass over the samples.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,17 +112,6 @@ def validate_opportunistic(opportunistic: str) -> str:
             f"options: {OPPORTUNISTIC_POLICIES}"
         )
     return opportunistic
-
-
-def deprecated_antenna_index(antenna_index, owner: str) -> int:
-    warnings.warn(
-        f"{owner}'s antenna_index is deprecated: it now maps to the "
-        "combining='single' ablation policy; multi-antenna MRC "
-        "(combining='mrc') is the default pipeline",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return int(antenna_index)
 
 
 @dataclass
@@ -312,9 +300,9 @@ class MultiTargetCombiner:
       per capture, the per-antenna Eq 5 readouts weight the compensated
       copies maximum-ratio, so the reduced cohort row is the
       minimum-variance unbiased estimate of the target's chips.
-    * ``"single"`` — exactly one antenna (``antenna_index``) feeds one
-      row per target, reproducing the pre-multi-antenna pipeline
-      bit-for-bit (the ablation baseline).
+    * ``"single"`` — exactly one antenna (antenna 0) feeds one row per
+      target, reproducing the pre-multi-antenna pipeline bit-for-bit
+      (the ablation baseline).
 
     Targets are identified by integer keys from :meth:`add_target` /
     :meth:`add_targets`. All per-target state lives in ``(T, A, N)``
@@ -328,7 +316,6 @@ class MultiTargetCombiner:
         decoder: CoherentDecoder,
         n_samples: int,
         combining: str = "mrc",
-        antenna_index: int = 0,
         obs=None,
     ):
         if n_samples <= 0:
@@ -336,7 +323,6 @@ class MultiTargetCombiner:
         self.decoder = decoder
         self.n_samples = int(n_samples)
         self.combining = validate_combining(combining)
-        self.antenna_index = int(antenna_index)
         #: Nullable observability hook (see :mod:`repro.obs`): counts
         #: demodulation attempts and CRC passes.
         self.obs = obs
@@ -530,14 +516,13 @@ class MultiTargetCombiner:
     def _antenna_rows(self, capture) -> np.ndarray:
         """The capture's antenna streams as an (A, N) matrix.
 
-        ``"single"`` slices out exactly the configured antenna; ``"mrc"``
-        stacks every antenna of the collision.  A bare waveform is one
-        antenna either way.
+        ``"single"`` slices out antenna 0; ``"mrc"`` stacks every antenna
+        of the collision.  A bare waveform is one antenna either way.
         """
         if isinstance(capture, Waveform):
             rows = capture.samples[None, :]
         elif self.combining == "single":
-            rows = capture.antenna(self.antenna_index).samples[None, :]
+            rows = capture.antenna(0).samples[None, :]
         else:
             rows = np.stack([wave.samples for wave in capture.antennas])
         if rows.shape[1] != self.n_samples:
@@ -793,10 +778,8 @@ class DecodeSession:
             capture detectably contains — free evidence, excluded from
             ``n_queries``/air time; ``"ignore"`` drops donations at the
             door, reproducing the donation-free numerics bit-for-bit
-            (the ablation baseline).
-        refine: sub-bin refine each target's CFO on the first capture.
-        antenna_index: **deprecated** alias — setting it selects
-            ``combining="single"`` on that antenna.
+            (the ablation baseline). Donations are screened by a
+            spike probe at :data:`OVERHEARD_PROBE_THRESHOLD`.
         obs: nullable observability hook (see :mod:`repro.obs`): counts
             queries issued, seeded captures, and the CFAR probe's
             accept/reject verdicts on donated windows. Never affects
@@ -807,28 +790,16 @@ class DecodeSession:
     decoder: CoherentDecoder
     combining: str = "mrc"
     opportunistic: str = "accept"
-    probe_threshold: float = OVERHEARD_PROBE_THRESHOLD
     captures: list = field(default_factory=list)
     _next_query_s: float = 0.0
-    refine: bool = True
     _combiner: MultiTargetCombiner | None = field(default=None, repr=False)
     _target_keys: dict[float, int] = field(default_factory=dict, repr=False)
     _donations: list = field(default_factory=list, repr=False)
-    antenna_index: int | None = None
     obs: object = None
 
     def __post_init__(self) -> None:
-        if self.antenna_index is not None:
-            self.antenna_index = deprecated_antenna_index(
-                self.antenna_index, "DecodeSession"
-            )
-            self.combining = "single"
         validate_combining(self.combining)
         validate_opportunistic(self.opportunistic)
-
-    @property
-    def _antenna(self) -> int:
-        return 0 if self.antenna_index is None else self.antenna_index
 
     def _ensure_captures(self, n: int) -> None:
         while len(self.captures) < n:
@@ -841,15 +812,12 @@ class DecodeSession:
     def readout_capture(self, index: int) -> Waveform:
         """The single waveform used for spike/CFO readout of one capture.
 
-        The ``"single"`` policy reads its configured antenna; ``"mrc"``
-        refines on the first antenna (sub-bin refinement needs one clean
-        tone, and every antenna sees the same spike frequency).
+        Both policies read antenna 0: sub-bin refinement needs one clean
+        tone, and every antenna sees the same spike frequency.
         """
         capture = self.captures[index]
         if isinstance(capture, Waveform):
             return capture
-        if self.combining == "single":
-            return capture.antenna(self._antenna)
         return capture.antennas[0]
 
     def _keys_for(self, target_cfos_hz: list[float]) -> list[int]:
@@ -867,14 +835,9 @@ class DecodeSession:
                     self.decoder,
                     first.n_samples,
                     combining=self.combining,
-                    # repro: allow[ablation-api] — combiner-internal antenna selection, not the deprecated session alias
-                    antenna_index=self._antenna,
                     obs=self.obs,
                 )
-            refined = [
-                self.decoder.refine_cfo(first, cfo) if self.refine else cfo
-                for cfo in fresh
-            ]
+            refined = [self.decoder.refine_cfo(first, cfo) for cfo in fresh]
             for cfo, key in zip(fresh, self._combiner.add_targets(refined)):
                 self._target_keys[cfo] = key
         return [self._target_keys[cfo] for cfo in target_cfos_hz]
@@ -969,9 +932,9 @@ class DecodeSession:
         The same one-dot readout as Eq 5, turned into a CFAR-style
         detector with two conditions: the target's bin power (summed
         over the antennas the combining policy uses) must exceed
-        ``probe_threshold`` times a *local* floor — the median bin power
-        in a window around the target bin, spike bins excluded — and it
-        must dominate its spectral shoulders. The local median tracks
+        :data:`OVERHEARD_PROBE_THRESHOLD` times a *local* floor — the
+        median bin power in a window around the target bin, spike bins
+        excluded — and it must dominate its spectral shoulders. The local median tracks
         whatever sits there (thermal noise *and* other tags' OOK data
         sidebands); the shoulder test rejects *leakage* from a stronger
         tag a few bins away, which can beat any floor while peaking at
@@ -993,7 +956,7 @@ class DecodeSession:
         keep = np.ones(neighborhood.size, dtype=bool)
         keep[half - guard : half + guard + 1] = False
         floor = float(np.median(spectra[:, neighborhood[keep]], axis=1).sum())
-        if spike <= self.probe_threshold * floor:
+        if spike <= OVERHEARD_PROBE_THRESHOLD * floor:
             return False
         shoulder_bins = np.array(
             [(bin_index + s) % n for s in self._PROBE_SHOULDER_BINS]

@@ -14,7 +14,7 @@
   each turn serializing its whole burst) for the ablation benchmark.
 * **Cell handoff** — the corridor is carved into
   :class:`~repro.sim.city.cells.StationCell`\\ s; when a spike at pole
-  *k+1* misses the local :class:`~repro.core.network.IdentityCache`, the
+  *k+1* misses the local :class:`~repro.core.identity.IdentityCache`, the
   neighbors' caches are consulted by measured CFO fingerprint and a hit
   is *forwarded* (copied) into the local cache — the downstream pole
   resolves the tag without spending a single decode query. Every
@@ -57,7 +57,6 @@ from :meth:`AirLog.corrupted_responses` cover the response side.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,14 +69,15 @@ from ...constants import (
     RESPONSE_DURATION_S,
     TURNAROUND_S,
 )
-from ...core.decoding import (
-    deprecated_antenna_index,
-    validate_combining,
-    validate_opportunistic,
+from ...core.decoding import validate_combining, validate_opportunistic
+from ...core.identity import (
+    FixHints,
+    IdentityCache,
+    locate_sightings,
+    resolve_cached_ids,
 )
 from ...core.mac import ReaderMac
-from ...core.network import IdentityCache, decode_aoa, resolve_cached_ids
-from ...errors import CaraokeError, ConfigurationError
+from ...errors import ConfigurationError
 from ...utils import as_rng
 from ..events import EventScheduler
 from ..medium import AirLog
@@ -88,13 +88,17 @@ from .pool import ResponsePool, TriggerWindow
 
 __all__ = ["CorridorStation", "CityCorridor", "CorridorResult", "IdentificationStat"]
 
-
-def _tag_observation():
-    # Deferred for the same reason as repro.core.network: repro.apps
-    # imports repro.sim at package init.
-    from ...apps.services import TagObservation
-
-    return TagObservation
+#: Spikes below this detection SNR are not worth a decode burst yet: the
+#: tag is still far, and a later, closer round decodes it in fewer
+#: queries.
+DECODE_SNR_DB = 17.0
+#: How long a station's receiver buffers overheard windows between
+#: decode bursts; windows older than this at harvest time are lost.
+OVERHEARD_HORIZON_S = 0.25
+#: Each pole's identity cache bounds (:class:`IdentityCache`): entries
+#: kept, and how long an unsighted fingerprint survives.
+CACHE_MAX_ENTRIES = 512
+CACHE_MAX_AGE_S = 600.0
 
 
 @dataclass
@@ -119,8 +123,7 @@ class CorridorStation:
             this station's decode sessions as free evidence) or
             ``"ignore"`` (never harvest — bit-for-bit the pool-less
             corridor numerics, the ablation baseline).
-        antenna_index: **deprecated** alias selecting
-            ``combining="single"`` on that antenna.
+        fixes: each tag's last fix at this pole, hinting its next one.
     """
 
     name: str
@@ -157,15 +160,9 @@ class CorridorStation:
     #: receiver was busy, and coincident triggers already merged into the
     #: own capture.
     _own_windows: list[tuple[float, float]] = field(default_factory=list, repr=False)
-    _hints: dict[int, tuple[np.ndarray, float]] = field(default_factory=dict, repr=False)
-    antenna_index: int | None = None
+    fixes: FixHints = field(default_factory=FixHints, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.antenna_index is not None:
-            self.antenna_index = deprecated_antenna_index(
-                self.antenna_index, "CorridorStation"
-            )
-            self.combining = "single"
         validate_combining(self.combining)
         validate_opportunistic(self.opportunistic)
 
@@ -270,11 +267,6 @@ class CorridorResult:
         return self.burst_corrupted_posthoc - self.burst_corrupted_at_synthesis
 
     @property
-    def overheard_corruption_undercount(self) -> int:
-        """Donated overheard captures the harvest-time check missed."""
-        return self.overheard_corrupted_posthoc
-
-    @property
     def overheard_per_identified(self) -> float:
         if not self.identifications:
             return float("nan")
@@ -360,21 +352,13 @@ class CityCorridor:
             every downstream sighting burns a re-decode; the waste the
             :class:`~repro.sim.city.handoff.HandoffLedger` exists to
             measure).
-        decode: run §8 identification at all (False = count-only).
         opportunistic: when given, overrides every station's
             overheard-response policy — ``"accept"`` harvests other
             poles' trigger windows from the shared :class:`ResponsePool`
             as free decode evidence, ``"ignore"`` never does (bit-for-bit
             the pool-less numerics, the ablation). None leaves each
             station's own setting.
-        overheard_horizon_s: how long a station's receiver buffers
-            overheard windows between decode bursts; windows older than
-            this at harvest time are lost, not combined.
         max_queries: decode budget per identification burst.
-        decode_snr_db: spikes below this detection SNR are not worth a
-            decode burst yet (the tag is still far; a later, closer
-            round decodes it in fewer queries). None disables the gate.
-        range_m: radio range gating which tags hear a query.
         name: corridor label. When set, it scopes this corridor inside a
             larger deployment (a :class:`~repro.sim.city.mesh.CityMesh`
             names stations ``"<edge>/pole-k"`` through
@@ -427,12 +411,8 @@ class CityCorridor:
         scheduling: str = "event",
         use_csma: bool = True,
         handoff: bool = True,
-        decode: bool = True,
         opportunistic: str | None = None,
-        overheard_horizon_s: float = 0.25,
         max_queries: int = 32,
-        decode_snr_db: float | None = 17.0,
-        range_m: float = READER_RANGE_M,
         name: str = "",
         air: AirLog | None = None,
         pool: ResponsePool | None = None,
@@ -453,15 +433,11 @@ class CityCorridor:
         self.scheduling = scheduling
         self.use_csma = bool(use_csma)
         self.handoff = bool(handoff)
-        self.decode = bool(decode)
         if opportunistic is not None:
             validate_opportunistic(opportunistic)
             for station in self.stations:
                 station.opportunistic = opportunistic
-        self.overheard_horizon_s = float(overheard_horizon_s)
         self.max_queries = int(max_queries)
-        self.decode_snr_db = decode_snr_db
-        self.range_m = float(range_m)
         self.interference_range_m = (
             None if interference_range_m is None else float(interference_range_m)
         )
@@ -527,7 +503,7 @@ class CityCorridor:
         # the distance a car covers during one decode burst). Derived
         # from the geometry rather than assuming "one neighbor suffices"
         # so narrow cells with a wide radio range still hear everyone.
-        reach = self.range_m + 5.0
+        reach = READER_RANGE_M + 5.0
         self._audible_cells: list[list[int]] = []
         for station in self.stations:
             x = float(station.pole_position_m[0])
@@ -571,8 +547,6 @@ class CityCorridor:
         rng=None,
         query_interval_s: float = 80e-3,
         jitter_s: float = 5e-3,
-        cache_max_entries: int | None = 512,
-        cache_max_age_s: float | None = 600.0,
         name: str = "",
         **kwargs,
     ) -> "CityCorridor":
@@ -616,7 +590,7 @@ class CityCorridor:
                     cell=cell,
                     localizer=cell.localizer(),
                     identities=IdentityCache(
-                        max_entries=cache_max_entries, max_age_s=cache_max_age_s
+                        max_entries=CACHE_MAX_ENTRIES, max_age_s=CACHE_MAX_AGE_S
                     ),
                     query_interval_s=query_interval_s,
                     jitter_s=jitter_s,
@@ -768,7 +742,7 @@ class CityCorridor:
                 cell = station.cell
                 if cell.contains_x(x0):
                     self._roster[cell_index].add(tag_index)
-                    self._first_cell_note(0.0, cell, tag)
+                    self.ledger.record_cell_entry(0.0, cell.name, tag.tag_id)
                 t_in = tag.time_at_x(cell.x_min_m)
                 t_out = tag.time_at_x(cell.x_max_m)
                 if t_in is not None and 0.0 < t_in <= duration_s:
@@ -777,9 +751,6 @@ class CityCorridor:
                     events.append((t_out, "exit", tag_index, cell_index))
         events.sort(key=lambda e: (e[0], e[1] != "exit", e[2], e[3]))
         return events
-
-    def _first_cell_note(self, t_s: float, cell: StationCell, tag: MovingTag) -> None:
-        self.ledger.record_cell_entry(t_s, cell.name, tag.tag_id)
 
     def _make_transition(self, kind: str, tag_index: int, cell_index: int):
         def apply(scheduler: EventScheduler) -> None:
@@ -815,7 +786,7 @@ class CityCorridor:
         return [
             self.tags[i]
             for i in sorted(candidates)
-            if self.tags[i].in_range(pole, response_t, self.range_m)
+            if self.tags[i].in_range(pole, response_t, READER_RANGE_M)
         ]
 
     # -- station events ----------------------------------------------------------
@@ -1011,7 +982,7 @@ class CityCorridor:
 
         busy_end = response_end
         decode_results: dict = {}
-        if still_unknown and self.decode:
+        if still_unknown:
             busy_end = self._decode_burst(
                 station,
                 t_query,
@@ -1020,8 +991,8 @@ class CityCorridor:
                 snr_by_cfo,
                 ids,
                 decode_results,
-                seed=collision,
-                kinds=kinds,
+                collision,
+                kinds,
             )
 
         if sobs is not None:
@@ -1034,7 +1005,12 @@ class CityCorridor:
                 spikes=len(cfos),
                 resolved=len(ids),
             )
-        self._emit_observations(station, report, ids, t_query, decode_results)
+        for observation in locate_sightings(
+            station, report, ids, t_query, decode_results, cell=station.cell.name
+        ):
+            self.observations.append(observation)
+            for service in self.services:
+                service.observe(observation)
         if self.on_sighting is not None:
             # Every id resolved this round (cache hits, pushes, pulls,
             # fresh decodes) is a sighting the city layer may act on —
@@ -1044,10 +1020,9 @@ class CityCorridor:
             # this round produced one (§7 speed runs on repeated
             # localization), the pole's own position otherwise.
             for cfo, tag_id in sorted(ids.items()):
-                hint = station._hints.get(tag_id)
-                localized = hint is not None and hint[1] == t_query
+                localized = station.fixes.fixed_at(tag_id) == t_query
                 if localized:
-                    x_m = float(hint[0][0])
+                    x_m = float(station.fixes.recall(tag_id, t_query)[0])
                 else:
                     x_m = float(station.pole_position_m[0])
                 kind, n_queries = kinds.get(cfo, (OWN_HIT, 0))
@@ -1065,16 +1040,17 @@ class CityCorridor:
         targets: list[float],
         snr_by_cfo: dict[float, float],
         ids: dict[float, int],
-        decode_results: dict | None = None,
-        seed=None,
-        kinds: dict[float, tuple[str, int]] | None = None,
+        decode_results: dict,
+        seed,
+        kinds: dict[float, tuple[str, int]],
     ) -> float:
-        """Run one §12.4 batched decode over the shared capture stream."""
+        """Run one §12.4 batched decode over the shared capture stream,
+        seeded with the measurement capture ``seed``."""
         sobs = self._station_obs[station.name]
         worth_it = []
         for cfo in targets:
             snr = snr_by_cfo.get(cfo, float("inf"))
-            if self.decode_snr_db is not None and snr < self.decode_snr_db:
+            if snr < DECODE_SNR_DB:
                 self.ledger.record_decode_deferred(station.name, t_query, cfo)
             else:
                 worth_it.append(cfo)
@@ -1135,26 +1111,16 @@ class CityCorridor:
                 )
             return collision
 
-        # Stations configured through the deprecated alias forward it
-        # conditionally (__post_init__ already warned and pinned
-        # combining="single"); clean stations never touch the keyword.
-        extra = (
-            {}
-            if station.antenna_index is None
-            else {"antenna_index": station.antenna_index}
-        )
         session = station.reader.decode_session(
             decode_query,
             combining=station.combining,
             opportunistic=station.opportunistic,
             obs=sobs,
-            **extra,
         )
-        if seed is not None:
-            # The measurement capture doubles as the burst's first decode
-            # capture, so identification adds air time only beyond the
-            # measurement query itself (§12.4).
-            session.seed_capture(seed)
+        # The measurement capture doubles as the burst's first decode
+        # capture, so identification adds air time only beyond the
+        # measurement query itself (§12.4).
+        session.seed_capture(seed)
         if station.opportunistic == "accept":
             # Windows other poles triggered since the last burst are free
             # evidence: re-synthesized over this pole's geometry and
@@ -1163,8 +1129,7 @@ class CityCorridor:
             for collision in self._overhear(station, t_query):
                 session.donate_capture(collision)
         results = session.decode_all(worth_it, max_queries=self.max_queries)
-        if decode_results is not None:
-            decode_results.update(results)
+        decode_results.update(results)
         for cfo, result in results.items():
             if result.success:
                 tag_id = result.packet.tag_id
@@ -1179,8 +1144,7 @@ class CityCorridor:
                     n_queries=result.n_queries,
                     n_overheard=result.n_overheard,
                 )
-                if kinds is not None:
-                    kinds[cfo] = (decode_kind, result.n_queries)
+                kinds[cfo] = (decode_kind, result.n_queries)
                 if sobs is not None:
                     sobs.count("corridor.resolution", kind="decode")
                 if tag_id not in self._identified:
@@ -1243,7 +1207,7 @@ class CityCorridor:
         window = station.mac.response_window(t_query_s)
         station._own_windows.append(window)
         if len(station._own_windows) > 256:
-            floor = window[1] - (self.overheard_horizon_s + 1.0)
+            floor = window[1] - (OVERHEARD_HORIZON_S + 1.0)
             station._own_windows = [
                 w for w in station._own_windows if w[1] > floor
             ]
@@ -1301,7 +1265,7 @@ class CityCorridor:
         dropped (their content is query-energy garbage), and `_result`
         re-checks the donated ones against the final log.
         """
-        lo = max(station.last_harvest_s, now_s - self.overheard_horizon_s)
+        lo = max(station.last_harvest_s, now_s - OVERHEARD_HORIZON_S)
         station.last_harvest_s = now_s
         station._own_windows = [
             w for w in station._own_windows if w[1] > lo - 1e-3
@@ -1312,7 +1276,7 @@ class CityCorridor:
             lo,
             now_s,
             station._own_windows,
-            self.range_m,
+            READER_RANGE_M,
         )
         captures = []
         for window, audible in harvested:
@@ -1352,48 +1316,6 @@ class CityCorridor:
         station.overheard_donated += len(captures)
         return captures
 
-    def _emit_observations(
-        self,
-        station: CorridorStation,
-        report,
-        ids: dict[float, int],
-        t_query: float,
-        decode_results: dict | None = None,
-    ) -> None:
-        if station.localizer is None or not ids:
-            return
-        observation_cls = _tag_observation()
-        estimates = {estimate.cfo_hz: estimate for estimate in report.aoas}
-        for cfo, tag_id in sorted(ids.items()):
-            estimate = estimates.get(cfo)
-            if estimate is None:
-                # A spike the measurement pass produced no AoA for can
-                # still be positioned from the decode burst's channel
-                # evidence — localization falls out of decoding.
-                estimate = decode_aoa(station, decode_results, cfo)
-            if estimate is None or not estimate.in_usable_band():
-                continue
-            hint = station._hints.get(tag_id)
-            try:
-                fix = station.localizer.locate(
-                    estimate,
-                    station.reader.estimator,
-                    hint_xy=None if hint is None else hint[0],
-                )
-            except CaraokeError:
-                continue
-            station._hints[tag_id] = (fix, t_query)
-            observation = observation_cls(
-                tag_id=tag_id,
-                position_m=fix,
-                timestamp_s=t_query,
-                station=station.name,
-                cell=station.cell.name,
-            )
-            self.observations.append(observation)
-            for service in self.services:
-                service.observe(observation)
-
     # -- results -----------------------------------------------------------------
 
     def _recheck_captures_posthoc(self) -> tuple[int, int]:
@@ -1404,41 +1326,22 @@ class CityCorridor:
         a blindly interleaving burst's) query that lands on the same
         response window is invisible to it. With the run over, every
         transmission is on the log, so each recorded burst capture and
-        each *donated* overheard window is re-checked here; one binary
-        search per capture bounds the scan to the queries that could
-        overlap its window. Returns ``(burst, overheard)`` counts.
+        each *donated* overheard window is re-checked here through
+        :meth:`~repro.sim.medium.AirLog.stepped_on`, excluding the
+        capture's own trigger query. Returns ``(burst, overheard)``
+        counts.
         """
-        queries = self.air.sorted_queries()
-        starts = [q.start_s for q in queries]
-
-        def stepped_on(
-            start_s: float,
-            end_s: float,
-            own_source: str,
-            own_start_s: float,
-            receiver_x_m: float,
-        ) -> bool:
-            lo = bisect.bisect_left(starts, start_s - QUERY_DURATION_S)
-            hi = bisect.bisect_left(starts, end_s)
-            for query in queries[lo:hi]:
-                if query.source == own_source and query.start_s == own_start_s:
-                    continue
-                if not query.reaches(receiver_x_m, self.interference_range_m):
-                    continue
-                if query.start_s < end_s and query.end_s > start_s:
-                    return True
-            return False
-
+        air, reach_m, xs = self.air, self.interference_range_m, self._station_x
         burst = sum(
             1
             for source, t_query, start_s, end_s, _ in self._burst_log
-            if stepped_on(start_s, end_s, source, t_query, self._station_x[source])
+            if air.stepped_on(start_s, end_s, (source, t_query), xs[source], reach_m)
         )
         overheard = sum(
             1
             for station, origin, t_query, start_s, end_s, corrupted in self._overheard_log
             if not corrupted
-            and stepped_on(start_s, end_s, origin, t_query, self._station_x[station])
+            and air.stepped_on(start_s, end_s, (origin, t_query), xs[station], reach_m)
         )
         return burst, overheard
 

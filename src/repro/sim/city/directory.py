@@ -1,6 +1,6 @@
 """The city-wide identity directory: fingerprints above per-pole caches.
 
-A single :class:`~repro.core.network.IdentityCache` answers "has *this
+A single :class:`~repro.core.identity.IdentityCache` answers "has *this
 pole* seen this CFO fingerprint?"; corridor handoff extends the answer
 one pole up- or downstream. A city is bigger than either: §1's services
 assume a sighting anywhere in the deployment can be tied back to an
@@ -13,7 +13,7 @@ sighting in the deployment is *reported* to it (station, corridor,
 along-city coordinate, timestamp), and it maintains:
 
 * a **bounded, aging fingerprint index** — one city-wide CFO -> account
-  table (an :class:`~repro.core.network.IdentityCache` with LRU
+  table (an :class:`~repro.core.identity.IdentityCache` with LRU
   ``max_entries`` and ``max_age_s``, both mandatory here: a city stream
   sees every registered car, and a stale fingerprint is a
   mis-attribution hazard at city scale exactly as it is per pole);
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...core.network import IdentityCache
+from ...core.identity import IdentityCache
 from ...core.speed import CrossPoleSpeedTracker, SpeedEstimate, SpeedObservation
 from ...errors import ConfigurationError
 

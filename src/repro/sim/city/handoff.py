@@ -3,7 +3,7 @@
 Every spike a station resolves is a *sighting*, and each sighting is
 resolved one of five ways:
 
-* ``own`` — the station's own :class:`~repro.core.network.IdentityCache`
+* ``own`` — the station's own :class:`~repro.core.identity.IdentityCache`
   recognized the fingerprint (the tag was decoded or imported here
   earlier);
 * ``handoff`` — a neighbor station's cache recognized it *at sighting

@@ -96,7 +96,9 @@ class AirLog:
       interval classified by kind (queries are bare sinewaves and thus
       recognizable; a reader hearing one also knows, from the protocol
       timing, when it will end and when its response slot opens).
-    * :meth:`corrupted_responses` — every response some query stepped on.
+    * :meth:`stepped_on` — whether any query overlaps an interval; the
+      one exact check behind :meth:`corrupted_responses` (every response
+      some query stepped on) and post-hoc capture re-checks.
     """
 
     def __init__(self, sense_slack_s: float = 0.25, obs=None) -> None:
@@ -115,7 +117,7 @@ class AirLog:
         # append-only, so one-slot caches keyed by record count make
         # the repeats O(1) instead of re-sorting/re-scanning the whole
         # city's history each time.
-        self._sorted_queries_cache: tuple[int, list[Transmission]] | None = None
+        self._query_index_cache: tuple = (0, [], [], [])
         self._corrupted_cache: tuple[tuple[int, float | None], list[Transmission]] | None = None
         #: Nullable observability hook (see :mod:`repro.obs`): counts
         #: every recorded transmission by kind and source.
@@ -172,15 +174,42 @@ class AirLog:
     def queries(self) -> list[Transmission]:
         return list(self._queries)
 
-    def sorted_queries(self) -> list[Transmission]:
-        """Every query in start-time order (cached until the next
-        record — callers must not mutate the returned list)."""
-        cache = self._sorted_queries_cache
-        if cache is None or cache[0] != len(self._queries):
+    def _query_index(self) -> tuple[list[Transmission], list[float], list[float]]:
+        """Every query in start-time order, their starts, and the running
+        maximum of their ends (cached until the next query is recorded)."""
+        if self._query_index_cache[0] != len(self._queries):
             ordered = sorted(self._queries, key=lambda q: q.start_s)
-            self._sorted_queries_cache = (len(self._queries), ordered)
-            return ordered
-        return cache[1]
+            reach_ends = list(itertools.accumulate((q.end_s for q in ordered), max))
+            starts = [q.start_s for q in ordered]
+            self._query_index_cache = (len(ordered), ordered, starts, reach_ends)
+        return self._query_index_cache[1:]
+
+    def stepped_on(
+        self,
+        start_s: float,
+        end_s: float,
+        exclude: tuple[str, float] | None = None,
+        x_m: float | None = None,
+        range_m: float | None = None,
+    ) -> bool:
+        """Whether any recorded query overlaps ``(start_s, end_s)``.
+
+        ``exclude`` skips the query with that ``(source, start)`` (a
+        receiver's own trigger); ``x_m``/``range_m`` keep only queries a
+        receiver there hears (:meth:`Transmission.reaches`). Exact for
+        any query duration: the scan runs from the first query whose
+        running maximum end passes ``start_s`` to the last starting
+        before ``end_s``.
+        """
+        queries, starts, reach_ends = self._query_index()
+        lo = bisect.bisect_right(reach_ends, start_s)
+        hi = bisect.bisect_left(starts, end_s)
+        return any(
+            q.end_s > start_s
+            and q.reaches(x_m, range_m)
+            and (q.source, q.start_s) != exclude
+            for q in queries[lo:hi]
+        )
 
     def any_query_overlapping(
         self,
@@ -273,31 +302,25 @@ class AirLog:
         ``interference_range_m`` gates corruption by along-city distance
         between the query and the response (mesh worlds; positions or
         range missing fall back to "everything interferes"). The result
-        is :meth:`response_corrupted` applied to every response, in
-        record order. It is computed as a sweep and cached until the next
-        record, so per-corridor result collection over one shared mesh
-        log pays for it once (callers must not mutate the returned list).
+        is :meth:`stepped_on` applied to every response, in record order,
+        cached until the next record, so per-corridor result collection
+        over one shared mesh log pays for it once (callers must not
+        mutate the returned list).
         """
         key = (len(self.transmissions), interference_range_m)
         cache = self._corrupted_cache
         if cache is not None and cache[0] == key:
             return cache[1]
-        queries = self.sorted_queries()
-        starts = [q.start_s for q in queries]
-        # Running maximum of query ends in start order: every query before
-        # the first index whose running end passes a response's start has
-        # ended by then, so it cannot overlap that response.
-        reach_ends = list(itertools.accumulate((q.end_s for q in queries), max))
-        corrupted = []
-        for response in self.responses():
-            lo = bisect.bisect_right(reach_ends, response.start_s)
-            # Only queries starting before the response ends can overlap.
-            hi = bisect.bisect_left(starts, response.end_s)
-            if any(
-                q.overlaps(response) and q.reaches(response.x_m, interference_range_m)
-                for q in queries[lo:hi]
-            ):
-                corrupted.append(response)
+        corrupted = [
+            response
+            for response in self.responses()
+            if self.stepped_on(
+                response.start_s,
+                response.end_s,
+                x_m=response.x_m,
+                range_m=interference_range_m,
+            )
+        ]
         self._corrupted_cache = (key, corrupted)
         return corrupted
 

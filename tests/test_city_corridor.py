@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channel.geometry import RoadSegment
+from repro.constants import READER_RANGE_M
 from repro.errors import ConfigurationError
 from repro.sim.city import (
     CityCorridor,
@@ -232,8 +233,8 @@ class TestCityCorridorRun:
             for j, station in enumerate(corridor.stations):
                 cell = station.cell
                 near = (
-                    cell.x_min_m < pole_x + corridor.range_m
-                    and cell.x_max_m > pole_x - corridor.range_m
+                    cell.x_min_m < pole_x + READER_RANGE_M
+                    and cell.x_max_m > pole_x - READER_RANGE_M
                 )
                 if near:
                     assert j in audible

@@ -14,6 +14,37 @@ from repro.errors import ConfigurationError
 from repro.sim.medium import AirLog, Medium, ReaderNode, Transmission, TxKind
 
 
+def random_air_log(seed: int) -> AirLog:
+    """A seeded log recorded out of time order (bounded jitter plus a few
+    stragglers), mixing positioned and unpositioned (``x_m=None``)
+    transmissions and queries far longer than the standard 20 µs."""
+    rng = np.random.default_rng(seed)
+    air = AirLog()
+    t = 0.0
+    for _ in range(400):
+        t += float(rng.exponential(150e-6))
+        start = t + float(rng.uniform(-300e-6, 300e-6))
+        if rng.random() < 0.03:
+            start -= float(rng.uniform(0.0, 20e-3))  # a late record
+        x_m = None if rng.random() < 0.3 else float(rng.uniform(0.0, 3000.0))
+        roll = rng.random()
+        if roll < 0.35:
+            air.record_query(f"r{rng.integers(4)}", start, x_m=x_m)
+        elif roll < 0.4:
+            air.record(
+                Transmission(
+                    TxKind.QUERY,
+                    "long",
+                    start,
+                    start + float(rng.uniform(0.0, 5e-3)),
+                    x_m=x_m,
+                )
+            )
+        else:
+            air.record_response(f"tag{rng.integers(20)}", start, x_m=x_m)
+    return air
+
+
 class TestCsmaState:
     def test_idle_forever_when_silent(self):
         assert CsmaState().idle_since(5.0) == float("inf")
@@ -253,30 +284,7 @@ class TestAirLog:
         and unpositioned (``x_m=None``) transmissions, include queries
         far longer than the standard 20 µs, and are checked with and
         without a distance gate."""
-        rng = np.random.default_rng(seed)
-        air = AirLog()
-        t = 0.0
-        for _ in range(400):
-            t += float(rng.exponential(150e-6))
-            start = t + float(rng.uniform(-300e-6, 300e-6))
-            if rng.random() < 0.03:
-                start -= float(rng.uniform(0.0, 20e-3))  # a late record
-            x_m = None if rng.random() < 0.3 else float(rng.uniform(0.0, 3000.0))
-            roll = rng.random()
-            if roll < 0.35:
-                air.record_query(f"r{rng.integers(4)}", start, x_m=x_m)
-            elif roll < 0.4:
-                air.record(
-                    Transmission(
-                        TxKind.QUERY,
-                        "long",
-                        start,
-                        start + float(rng.uniform(0.0, 5e-3)),
-                        x_m=x_m,
-                    )
-                )
-            else:
-                air.record_response(f"tag{rng.integers(20)}", start, x_m=x_m)
+        air = random_air_log(seed)
         for range_m in (None, 500.0, 0.0):
             expected = [
                 r
@@ -286,6 +294,44 @@ class TestAirLog:
             assert expected, "the random log must exercise corruption"
             swept = air.corrupted_responses(interference_range_m=range_m)
             assert [id(r) for r in swept] == [id(r) for r in expected]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stepped_on_matches_brute_force(self, seed):
+        """The bounded overlap check agrees with a scan of every query,
+        with and without an excluded own query, a receiver position and
+        a distance gate."""
+        air = random_air_log(seed)
+        queries = air.queries()
+        rng = np.random.default_rng(100 + seed)
+        horizon_s = max(q.end_s for q in queries)
+        hits = excluded_hits = 0
+        for _ in range(300):
+            own = queries[int(rng.integers(len(queries)))] if rng.random() < 0.5 else None
+            if own is None:
+                start = float(rng.uniform(0.0, horizon_s))
+                exclude = None
+            else:
+                # Open the interval inside the own query so excluding it matters.
+                start = float(rng.uniform(own.start_s, own.end_s))
+                exclude = (own.source, own.start_s)
+            end = start + float(rng.choice([RESPONSE_DURATION_S, rng.uniform(1e-6, 2e-3)]))
+            x_m = None if rng.random() < 0.3 else float(rng.uniform(0.0, 3000.0))
+            for range_m in (None, 500.0, 0.0):
+                expected = any(
+                    q.start_s < end
+                    and q.end_s > start
+                    and q.reaches(x_m, range_m)
+                    and (q.source, q.start_s) != exclude
+                    for q in queries
+                )
+                got = air.stepped_on(start, end, exclude=exclude, x_m=x_m, range_m=range_m)
+                assert got == expected
+                hits += expected
+                excluded_hits += exclude is not None and not expected and air.stepped_on(
+                    start, end, x_m=x_m, range_m=range_m
+                )
+        assert hits, "the random intervals must exercise overlaps"
+        assert excluded_hits, "the exclusion must change some verdicts"
 
 
 class TestMedium:

@@ -1,16 +1,20 @@
-"""Unit tests for repro.core.network (multi-reader batch processing)."""
+"""Unit tests for repro.core.network (multi-reader batch processing) and
+the per-pole tag state it shares with the city corridor
+(repro.core.identity)."""
 
 import numpy as np
 import pytest
 
 from repro.apps import CarFinder, ParkingBillingService
-from repro.core.localization import LaneProjectionLocalizer
-from repro.core.network import (
+from repro.core.identity import (
+    FIX_HINT_HORIZON_S,
+    FixHints,
     IdentityCache,
-    ReaderNetwork,
-    ReaderStation,
-    StationReport,
+    locate_sightings,
+    resolve_cached_ids,
 )
+from repro.core.localization import LaneProjectionLocalizer
+from repro.core.network import ReaderNetwork, ReaderStation, StationReport
 from repro.sim.scenario import corridor_scene
 
 LANES = (-1.75, -5.25)
@@ -113,8 +117,6 @@ class TestIdentityCache:
     def test_demoted_spike_rematches_second_nearest_account(self):
         """A spike that loses the nearest account to a closer rival must
         try the next account within tolerance, not fall to a re-decode."""
-        from repro.core.network import resolve_cached_ids
-
         cache = IdentityCache(tolerance_hz=3000.0)
         cache.store(500.0e3, 1)
         cache.store(503.0e3, 2)
@@ -128,6 +130,67 @@ class TestIdentityCache:
         cache.store(200e3, 2)
         assert len(cache) == 1
         assert cache.lookup(200e3) == 2
+
+
+class HintRecordingLocalizer:
+    """Places every tag at a fixed point and records the hint it got."""
+
+    def __init__(self):
+        self.hints = {}
+
+    def locate(self, estimate, estimator, hint_xy=None):
+        self.hints[estimate.cfo_hz] = hint_xy
+        return np.array([estimate.cfo_hz / 1e5, -1.75])
+
+
+class TestLocateSightings:
+    @pytest.mark.parametrize("engine", ["network", "corridor"])
+    def test_stale_hint_neither_used_nor_kept(self, engine):
+        from types import SimpleNamespace
+
+        from repro.core.localization import AoAEstimate
+        from repro.sim.city import CorridorStation
+
+        localizer = HintRecordingLocalizer()
+        reader = SimpleNamespace(estimator=None)
+        if engine == "network":
+            station = ReaderStation("p", reader, query_fn=None, localizer=localizer)
+        else:
+            station = CorridorStation(
+                "p", reader, source=None, cell=None, localizer=localizer
+            )
+        now = FIX_HINT_HORIZON_S + 50.0
+        fresh_fix = np.array([1.0, -5.25])
+        station.fixes.record(7, np.array([9.0, -1.75]), 0.0)  # stale, sighted
+        station.fixes.record(8, fresh_fix, now - 1.0)  # fresh, sighted
+        station.fixes.record(9, np.array([3.0, -1.75]), 0.0)  # stale, unseen
+        report = SimpleNamespace(
+            aoas=[
+                AoAEstimate(cfo_hz=cfo, alphas_rad=(np.pi / 2,) * 3, best_pair_index=0)
+                for cfo in (200e3, 300e3)
+            ]
+        )
+        observations = locate_sightings(
+            station, report, {200e3: 7, 300e3: 8}, now, cell="cell-0"
+        )
+        assert localizer.hints[200e3] is None  # the stale hint was not used
+        assert np.array_equal(localizer.hints[300e3], fresh_fix)
+        assert station.fixes.fixed_at(9) is None  # nor kept
+        assert station.fixes.fixed_at(7) == station.fixes.fixed_at(8) == now
+        assert len(station.fixes) == 2
+        assert [(o.tag_id, o.station, o.cell) for o in observations] == [
+            (7, "p", "cell-0"),
+            (8, "p", "cell-0"),
+        ]
+
+    def test_fix_hints_horizon_is_inclusive(self):
+        hints = FixHints()
+        hints.record(1, np.zeros(2), 10.0)
+        assert hints.recall(1, 10.0 + FIX_HINT_HORIZON_S) is not None
+        assert hints.prune(10.0 + FIX_HINT_HORIZON_S) == 0
+        assert hints.recall(1, 10.5 + FIX_HINT_HORIZON_S) is None
+        assert hints.prune(10.5 + FIX_HINT_HORIZON_S) == 1
+        assert hints.fixed_at(1) is None
 
 
 class TestReaderNetwork:
@@ -232,19 +295,21 @@ class TestReaderNetwork:
 
     def test_stale_fix_hints_expire_and_are_pruned(self):
         cars = [(-6.0, 0), (5.0, 1)]
-        _, stations = build_corridor(cars, seed=21)
+        scene, stations = build_corridor(cars, seed=21)
         station = stations[0]
         network = ReaderNetwork()
         network.add_station(station)
         network.step(0.0)
-        assert len(station._last_fixes) == 2
-        assert station.recall_fix(next(iter(station._last_fixes)), 1.0) is not None
+        tag_ids = [tag.packet.tag_id for tag in scene.tags]
+        assert len(station.fixes) == 2
+        assert all(station.fixes.fixed_at(tag_id) == 0.0 for tag_id in tag_ids)
+        assert station.fixes.recall(tag_ids[0], 1.0) is not None
         # Past the horizon the hint is neither used nor retained.
-        tag_id = next(iter(station._last_fixes))
-        assert station.recall_fix(tag_id, station.hint_horizon_s + 10.0) is None
-        network.step(station.hint_horizon_s + 100.0)
-        alive = {seen for _, (_, seen) in station._last_fixes.items()}
-        assert alive == {station.hint_horizon_s + 100.0}  # only fresh fixes kept
+        assert station.fixes.recall(tag_ids[0], FIX_HINT_HORIZON_S + 10.0) is None
+        later = FIX_HINT_HORIZON_S + 100.0
+        network.step(later)
+        # Only fresh fixes are kept.
+        assert {station.fixes.fixed_at(tag_id) for tag_id in tag_ids} == {later}
 
     def test_multi_station_round(self):
         cars = [(-6.0, 0), (18.0, 1)]

@@ -110,14 +110,21 @@ class TestCaraokeReader:
         assert len(queries) == 1  # only the counting capture
 
     def test_decode_all_in_range_nonzero_antenna(self):
-        """Decoding must work from any antenna of the triangle."""
+        """Decoding must work from any antenna of the triangle. The
+        one-antenna policy reads antenna 0, so rotating each capture's
+        antenna streams puts every other antenna in that seat."""
         scene, _, _ = parking_scene(target_spots=[1, 4], n_background_cars=0, rng=19)
         truth = {t.packet.tag_id for t in scene.tags}
-        for antenna_index in (1, 2):
-            sim = scene.simulator(0, rng=20 + antenna_index)
+        for shift in (1, 2):
+            sim = scene.simulator(0, rng=20 + shift)
+
+            def rotated(t, sim=sim, shift=shift):
+                collision = sim.query(t)
+                collision.antennas = collision.antennas[shift:] + collision.antennas[:shift]
+                return collision
+
             results = build_reader(scene).decode_all_in_range(
-                # repro: allow[ablation-api] — no non-deprecated API selects a nonzero antenna yet
-                lambda t: sim.query(t), max_queries=64, antenna_index=antenna_index
+                rotated, max_queries=64, combining="single"
             )
             decoded = {r.packet.tag_id for r in results.values() if r.success}
             assert decoded == truth

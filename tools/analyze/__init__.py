@@ -18,7 +18,7 @@ registry of domain-aware checkers:
   through :func:`repro.utils.as_rng` (or spawned from a parent stream).
 * ``ablation-api``  — public callables exposing ``combining`` /
   ``opportunistic`` / ``scheduling`` / ``handoff`` must document the
-  allowed values; the deprecated ``antenna_index`` keyword is flagged.
+  allowed values.
 * ``unused-import`` — the original ``tools/lint.py`` pass, registered
   as the first checker.
 

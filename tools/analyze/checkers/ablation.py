@@ -1,4 +1,4 @@
-"""``ablation-api``: ablation knobs must be documented; deprecated aliases flagged.
+"""``ablation-api``: ablation knobs must be documented.
 
 The evaluation rests on ablation switches whose string values are
 golden-pinned bit-for-bit (``combining="mrc"|"single"``,
@@ -6,14 +6,10 @@ golden-pinned bit-for-bit (``combining="mrc"|"single"``,
 ``handoff`` policies). A public callable or dataclass exposing one of
 these knobs without documenting the allowed values invites silent
 misconfiguration — a typo'd policy string that falls through to a
-default changes published numbers without an error. Two rules:
-
-* every public function/method/dataclass in ``src/`` exposing an
-  ablation parameter must have a docstring that names the parameter
-  and quotes at least one allowed value (``"mrc"``-style), and
-* call sites passing the deprecated ``antenna_index=`` keyword are
-  flagged — it survives only as a back-compat alias for
-  ``combining="single"`` plus an antenna selection.
+default changes published numbers without an error. The rule: every
+public function/method/dataclass in ``src/`` exposing an ablation
+parameter must have a docstring that names the parameter and quotes at
+least one allowed value (``"mrc"``-style).
 """
 
 from __future__ import annotations
@@ -43,26 +39,12 @@ class AblationApiChecker(Checker):
     name = "ablation-api"
     description = (
         "public ablation knobs (combining/opportunistic/scheduling/handoff) "
-        "must document allowed values; deprecated antenna_index= is flagged"
+        "must document allowed values"
     )
 
     def check(self, module: ModuleInfo) -> Iterable[Finding]:
-        yield from self._deprecated_keywords(module)
         if module.in_library():
             yield from self._documented_knobs(module)
-
-    def _deprecated_keywords(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            for kw in node.keywords:
-                if kw.arg == "antenna_index":
-                    yield module.finding(
-                        self.name,
-                        kw.value,
-                        "passes deprecated `antenna_index=` — use "
-                        'combining="single" with the session antenna selection',
-                    )
 
     def _documented_knobs(self, module: ModuleInfo) -> Iterator[Finding]:
         def visit(node: ast.AST, cls: ast.ClassDef | None) -> Iterator[Finding]:
