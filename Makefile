@@ -15,14 +15,21 @@ check: lint analyze test
 
 check-fast: lint analyze test-fast
 
-# Docs tier: intra-repo links must resolve, and the city-mesh example
-# (short simulation via REPRO_MESH_DURATION_S) and the reader-network
-# example (the round driver's only consumer outside the tests) must run
-# end to end.
+# Docs tier: intra-repo links must resolve, and these examples must run
+# end to end: the city mesh (short simulation via REPRO_MESH_DURATION_S),
+# the reader network (the round driver's only consumer outside the
+# tests) and the five single-reader demos that build the radio-core
+# classes (reader, counter, AoA estimator, localizers, decoder) directly,
+# so a cut to their constructors cannot break them silently.
 check-docs:
 	$(PYTHON) tools/check_links.py
 	REPRO_MESH_DURATION_S=12 $(PYTHON) examples/city_mesh.py
 	$(PYTHON) examples/reader_network.py
+	$(PYTHON) examples/quickstart.py
+	$(PYTHON) examples/smart_parking.py
+	$(PYTHON) examples/red_light.py
+	$(PYTHON) examples/speed_enforcement.py
+	$(PYTHON) examples/decode_ids.py
 
 lint:
 	$(PYTHON) tools/lint.py

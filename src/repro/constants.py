@@ -146,6 +146,11 @@ SPEED_BASELINE_M = 360.0 * METERS_PER_FOOT
 #: Pole separation used in the §12.3 speed experiments [m] (200 feet).
 SPEED_EXPERIMENT_BASELINE_M = 200.0 * METERS_PER_FOOT
 
+#: Height of a windshield-mounted transponder above the road [m] [sim].
+#: Localization intersects AoA cones with this plane (§6, footnote 14),
+#: and every simulated car carries its tag at it.
+TAG_HEIGHT_M = 1.0
+
 #: NTP synchronization error between readers [s] (§6/§7: "tens of ms").
 NTP_SYNC_SIGMA_S = 10e-3
 

@@ -66,6 +66,72 @@ __all__ = ["BinClass", "BinObservation", "CountEstimate", "CollisionCounter"]
 # treated as data sidelobes, not carriers (see _sfft_probe_candidates).
 _SFFT_STRONG_RATIO = 0.3
 
+# -- the threshold table: one configuration for every counting pass --------
+
+#: Detection thresholds over the local (CFAR) floor [dB]. The sparse pass
+#: runs at MIN_SNR_DB: it holds the false-alarm rate of a ~615-bin
+#: Rayleigh search to a few percent per collision, and the structured
+#: low-density data floor demands no less. A cheap probe at PROBE_SNR_DB
+#: measures band crowding; at DENSE_TRIGGER or more candidates the scene
+#: is dense and the pass runs at DENSE_SNR_DB (<= MIN_SNR_DB) with the
+#: coherence-reality filter on: the dense floor is Gaussian (CLT over
+#: many chip streams), so the filter is reliable, and the weak tags it
+#: recovers dominate the error budget. The dense threshold drops by
+#: MULTI_CAPTURE_RELIEF_DB per doubling of averaged captures (incoherent
+#: averaging tightens the floor tail), floored at MIN_MULTI_SNR_DB.
+MIN_SNR_DB = 15.0
+PROBE_SNR_DB = 13.0
+DENSE_TRIGGER = 16
+DENSE_SNR_DB = 10.0
+MULTI_CAPTURE_RELIEF_DB = 1.5
+MIN_MULTI_SNR_DB = 7.5
+
+#: A weak candidate whose phase trajectory correlates at FINGERPRINT_CORR
+#: or more with a candidate FINGERPRINT_PARENT_RATIO times stronger is
+#: that tag's data artifact (see ``_phase_fingerprints``).
+FINGERPRINT_CORR = 0.85
+FINGERPRINT_PARENT_RATIO = 3.0
+
+#: Disjoint sub-windows per capture for the coherence statistic (>= 3).
+N_SUBWINDOWS = 8
+
+#: The single/multiple coherence threshold is ``C_expected(gamma)`` minus
+#: a slack ``SLACK_BASE + SLACK_GAMMA / gamma`` that widens for noisy
+#: spikes, clipped to ``[MIN_SLACK, MAX_SLACK]``. The companion magnitude
+#: test calls a spike beating (two tags whose phases start aligned
+#: modulate the magnitude while keeping the composite phase — invisible
+#: to coherence alone) beyond ``DISPERSION_BASE + DISPERSION_GAMMA /
+#: gamma``; a lone tone disperses ~``1/(sqrt(2) gamma)``.
+SLACK_BASE = 0.03
+SLACK_GAMMA = 0.30
+MIN_SLACK = 0.055
+MAX_SLACK = 0.35
+DISPERSION_BASE = 0.04
+DISPERSION_GAMMA = 2.2
+
+#: A candidate whose jointly-fitted amplitude is below ACCEPT_GAMMA times
+#: the local floor is an artifact (a sidelobe skirt of a strong tone, a
+#: data-floor fluke); in dense mode, a spike below both
+#: REALITY_COHERENCE and REALITY_GAMMA is a floor fluke, not a tag.
+ACCEPT_GAMMA = 2.5
+REALITY_COHERENCE = 0.75
+REALITY_GAMMA = 2.3
+
+#: Candidates refined to within this many bins of each other are merged
+#: before fitting (keeps the least-squares basis conditioned).
+MERGE_BINS = 1.2
+
+#: The "shift" method's window offsets [samples] and the noise-independent
+#: floor of its relative-magnitude-change threshold.
+SHIFT_SAMPLES = (128, 320, 512)
+SHIFT_TOLERANCE = 0.18
+
+#: The sparse probe's recovery budget and its dedicated shift-randomness
+#: seed (a fresh seeded stream per probe call keeps ``count_multi``
+#: deterministic and stateless).
+SFFT_MAX_TONES = 24
+SFFT_SEED = 2015
+
 
 class BinClass(enum.Enum):
     """Classification of one detected spectral spike."""
@@ -142,91 +208,29 @@ class CountEstimate:
 class CollisionCounter:
     """The §5 estimator.
 
+    One threshold table (the module constants above) configures every
+    pass; only the per-spike test, the density probe and the obs hook
+    are chosen per instance.
+
     Attributes:
-        min_snr_db: sparse-regime spike detection threshold over the local
-            (CFAR) floor for a single capture. 13 dB holds the false-alarm
-            rate of a ~615-bin Rayleigh search to a few percent per
-            collision, and the structured low-density data floor demands
-            no less.
-        dense_snr_db / probe_snr_db / dense_trigger: a cheap probe
-            detection at ``probe_snr_db`` measures band crowding; at or
-            above ``dense_trigger`` candidates the scene is dense and the
-            real pass runs at ``dense_snr_db`` with the coherence-reality
-            filter enabled — in dense collisions the floor is Gaussian
-            (CLT over many chip streams) so the filter is reliable, and
-            the weak tags it recovers dominate the error budget.
-        multi_capture_relief_db: detection thresholds drop by this much
-            per doubling of averaged captures (incoherent averaging
-            tightens the floor tail), floored at ``min_multi_snr_db``.
         method: "coherence" (default) or "shift" (the paper's literal test).
-        n_subwindows: disjoint sub-windows per capture for the coherence
-            statistic.
-        slack_base / slack_gamma / min_slack: the single/multiple coherence
-            threshold is ``C_expected(gamma)`` minus a slack that widens
-            for noisy spikes and never shrinks below ``min_slack``.
-        dispersion_base / dispersion_gamma: the companion magnitude test —
-            a lone tone disperses ~``1/(sqrt(2) gamma)``; beyond
-            ``dispersion_base + dispersion_gamma / gamma`` the spike is
-            beating (two tags whose phases start aligned modulate the
-            magnitude while keeping the composite phase — invisible to
-            coherence alone).
-        accept_gamma: candidates whose jointly-fitted amplitude is below
-            this multiple of the local floor are rejected as artifacts
-            (sidelobe skirts of strong tones, data-floor flukes).
-        reality_coherence / reality_gamma: dense-mode-only rejection: a
-            spike below both is a floor fluke, not a tag.
-        merge_bins: candidates refined to within this many bins of each
-            other are merged before fitting (keeps the basis conditioned).
-        shift_samples: window offsets for the "shift" method.
-        shift_tolerance: noise-independent floor of the shift test's
-            relative-magnitude-change threshold.
         probe: how the density probe counts band crowding —
             ``"dense"`` (default: CFAR peak detection on the averaged
-            magnitude spectrum at ``probe_snr_db``, the bit-exact
+            magnitude spectrum at :data:`PROBE_SNR_DB`, the bit-exact
             baseline) or ``"sfft"`` (the paper's §10 sparse-FFT
             recovery on the first capture: aliasing bucketization +
             phase-offset location, sub-linear in the capture length).
             The probe only picks the regime (sparse vs dense detection
             threshold); the decision pass itself is identical under
             both, so the two probes disagree only when their candidate
-            counts straddle ``dense_trigger``.
-        sfft_max_tones / sfft_seed: the sparse probe's recovery budget
-            and its dedicated shift-randomness seed (a fresh seeded
-            stream per probe call keeps ``count_multi`` deterministic
-            and stateless).
+            counts straddle :data:`DENSE_TRIGGER`.
         obs: nullable observability hook (see :mod:`repro.obs`): counts
             passes by regime and spike verdicts by label. Never affects
             the estimate.
     """
 
-    min_snr_db: float = 15.0
-    dense_snr_db: float = 10.0
-    probe_snr_db: float = 13.0
-    dense_trigger: int = 16
-    multi_capture_relief_db: float = 1.5
-    min_multi_snr_db: float = 7.5
-    fingerprint_corr: float = 0.85
-    fingerprint_parent_ratio: float = 3.0
-    fingerprint_max_gamma: float = 8.0
     method: str = "coherence"
-    n_subwindows: int = 8
-    slack_base: float = 0.03
-    slack_gamma: float = 0.30
-    min_slack: float = 0.055
-    max_slack: float = 0.35
-    dispersion_base: float = 0.04
-    dispersion_gamma: float = 2.2
-    accept_gamma: float = 2.5
-    reality_coherence: float = 0.75
-    reality_gamma: float = 2.3
-    merge_bins: float = 1.2
-    shift_samples: tuple[int, ...] = (128, 320, 512)
-    shift_tolerance: float = 0.18
-    search_lo_hz: float = DEFAULT_SEARCH_LO_HZ
-    search_hi_hz: float = DEFAULT_SEARCH_HI_HZ
     probe: str = "dense"
-    sfft_max_tones: int = 24
-    sfft_seed: int = 2015
     obs: object = None
 
     def __post_init__(self) -> None:
@@ -234,10 +238,6 @@ class CollisionCounter:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.probe not in ("dense", "sfft"):
             raise ConfigurationError(f"unknown probe {self.probe!r}")
-        if self.n_subwindows < 3:
-            raise ConfigurationError("need at least 3 sub-windows")
-        if self.dense_snr_db > self.min_snr_db:
-            raise ConfigurationError("dense threshold must not exceed the sparse one")
 
     # -- public API -------------------------------------------------------------
 
@@ -259,8 +259,8 @@ class CollisionCounter:
         # repeats identically (same bits every response). The sparse-regime
         # floor is dominated by the latter, so relief applies only to the
         # dense pass, where cross terms dominate.
-        relief = self.multi_capture_relief_db * np.log2(len(waves))
-        dense_thr = max(self.min_multi_snr_db, self.dense_snr_db - relief)
+        relief = MULTI_CAPTURE_RELIEF_DB * np.log2(len(waves))
+        dense_thr = max(MIN_MULTI_SNR_DB, DENSE_SNR_DB - relief)
         # The probe and the decision pass scan the same burst: spectra,
         # averaged magnitudes and the CFAR floor depend only on the
         # captures, so they are computed once and shared (the per-round
@@ -269,12 +269,12 @@ class CollisionCounter:
         # Regime probe: the raw candidate count at a permissive threshold
         # cleanly separates sparse scenes (few tags + structured-floor
         # flukes) from dense ones (many tags, Gaussianized floor).
-        dense = self._probe_candidates(waves, shared) >= self.dense_trigger
+        dense = self._probe_candidates(waves, shared) >= DENSE_TRIGGER
         if self.obs is not None:
             self.obs.count("count.pass", regime="dense" if dense else "sparse")
         if dense:
             return self._count_pass(waves, dense_thr, dense_mode=True, shared=shared)
-        return self._count_pass(waves, self.min_snr_db, dense_mode=False, shared=shared)
+        return self._count_pass(waves, MIN_SNR_DB, dense_mode=False, shared=shared)
 
     def _spectral_state(self, waves: list[Waveform]):
         """(spectra, averaged magnitudes, band CFAR floors) of one burst."""
@@ -282,7 +282,7 @@ class CollisionCounter:
         n_bins = min(s.n_bins for s in spectra)
         avg_mag = np.mean([s.magnitude()[:n_bins] for s in spectra], axis=0)
         floors = band_floors(
-            avg_mag, spectra[0].bin_hz, self.search_lo_hz, self.search_hi_hz
+            avg_mag, spectra[0].bin_hz, DEFAULT_SEARCH_LO_HZ, DEFAULT_SEARCH_HI_HZ
         )
         return spectra, avg_mag, floors
 
@@ -294,9 +294,9 @@ class CollisionCounter:
         peaks = find_peaks_in_magnitudes(
             avg_mag,
             spectra[0].bin_hz,
-            self.search_lo_hz,
-            self.search_hi_hz,
-            min_snr_db=self.probe_snr_db,
+            DEFAULT_SEARCH_LO_HZ,
+            DEFAULT_SEARCH_HI_HZ,
+            min_snr_db=PROBE_SNR_DB,
             floors=floors,
         )
         return len(peaks)
@@ -304,17 +304,17 @@ class CollisionCounter:
     def _sfft_probe_candidates(self, waves: list[Waveform]) -> int:
         """Band crowding via §10 sparse-FFT recovery on the first capture.
 
-        The probe only has to rank the scene against ``dense_trigger``,
+        The probe only has to rank the scene against :data:`DENSE_TRIGGER`,
         so it runs the exactly-sparse recovery with a bounded tone
         budget and counts how many recovered tones land inside the CFO
         search band. Shift randomness comes from a stream seeded fresh
-        per call (``sfft_seed``): deterministic, and no draw ever leaks
+        per call (:data:`SFFT_SEED`): deterministic, and no draw ever leaks
         into the burst's main rng stream.
         """
         wave = waves[0]
         n = wave.n_samples
         n_buckets = 8
-        while n_buckets < 8 * self.sfft_max_tones:
+        while n_buckets < 8 * SFFT_MAX_TONES:
             n_buckets *= 2
         n_buckets = min(n_buckets, n)
         usable = (n // n_buckets) * n_buckets
@@ -322,10 +322,10 @@ class CollisionCounter:
             return 0
         tones = sparse_fft_peaks(
             wave.samples[:usable],
-            max_tones=self.sfft_max_tones,
+            max_tones=SFFT_MAX_TONES,
             n_buckets=n_buckets,
-            rng=as_rng(self.sfft_seed),
-            # A density probe only ranks the scene against dense_trigger:
+            rng=as_rng(SFFT_SEED),
+            # A density probe only ranks the scene against DENSE_TRIGGER:
             # no full-FFT widening fallback, and a raised bucket floor
             # (tones this weak cannot clear _SFFT_STRONG_RATIO anyway)
             # keeps the candidate set — and so the verification cost —
@@ -339,7 +339,7 @@ class CollisionCounter:
             freq_hz = tone.freq_hz(wave.sample_rate_hz, usable)
             if freq_hz > wave.sample_rate_hz / 2.0:
                 freq_hz -= wave.sample_rate_hz
-            if self.search_lo_hz <= freq_hz <= self.search_hi_hz:
+            if DEFAULT_SEARCH_LO_HZ <= freq_hz <= DEFAULT_SEARCH_HI_HZ:
                 in_band.append(abs(tone.amplitude))
         if not in_band:
             return 0
@@ -361,8 +361,8 @@ class CollisionCounter:
         raw_peaks = find_peaks_in_magnitudes(
             avg_mag,
             bin_hz,
-            self.search_lo_hz,
-            self.search_hi_hz,
+            DEFAULT_SEARCH_LO_HZ,
+            DEFAULT_SEARCH_HI_HZ,
             min_snr_db=snr_db,
             floors=floors,
         )
@@ -411,7 +411,7 @@ class CollisionCounter:
             # A candidate whose jointly-fitted amplitude collapses was a
             # sidelobe / floor artifact: its spectrum energy is already
             # explained by the other tones. Reject it before classifying.
-            if mean_abs_amplitude[k] < self.accept_gamma * floors_norm[k]:
+            if mean_abs_amplitude[k] < ACCEPT_GAMMA * floors_norm[k]:
                 label = BinClass.REJECTED
                 stats = _stats(mean_abs_amplitude[k] / floors_norm[k], 0.0, 0.0, 0.0)
             elif k in fingerprinted:
@@ -460,7 +460,7 @@ class CollisionCounter:
         trajectory tracks the parent tag's trajectory. A real tag's
         trajectory is independent of every other tag's. With K >= 3
         captures, a weak candidate whose trajectory correlates strongly
-        with a candidate ``fingerprint_parent_ratio`` times stronger is
+        with a candidate :data:`FINGERPRINT_PARENT_RATIO` times stronger is
         rejected. Returns {candidate index: correlation}.
         """
         k_captures = len(per_capture)
@@ -478,10 +478,10 @@ class CollisionCounter:
             for c in range(m):
                 if c == k:
                     continue
-                if mean_abs_amplitude[c] < self.fingerprint_parent_ratio * mean_abs_amplitude[k]:
+                if mean_abs_amplitude[c] < FINGERPRINT_PARENT_RATIO * mean_abs_amplitude[k]:
                     continue
                 corr = float(np.abs(np.mean(phasors[:, k] * phasors[:, c].conj())))
-                if corr >= self.fingerprint_corr:
+                if corr >= FINGERPRINT_CORR:
                     rejected[k] = corr
                     break
         return rejected
@@ -510,12 +510,6 @@ class CollisionCounter:
             residual_wave = Waveform(residual, wave.sample_rate_hz, wave.t0_s)
             refined[k] = _parabolic_refine(residual_wave, freqs[k], bin_hz / 2.0)
         return refined
-
-    def _refine_multi(self, waves: list[Waveform], freq_hz: float, span_hz: float) -> float:
-        """Refine one tone frequency on the summed |DFT|^2 across captures."""
-        return float(
-            self._refine_multi_batch(waves, np.array([float(freq_hz)]), span_hz)[0]
-        )
 
     def _refine_multi_batch(
         self, waves: list[Waveform], freqs_hz: np.ndarray, span_hz: float
@@ -570,11 +564,11 @@ class CollisionCounter:
 
         Refinement can walk two adjacent local maxima onto the same tone;
         fitting both would make the least-squares basis singular. Keep the
-        higher-SNR member of any group closer than ``merge_bins`` bins.
+        higher-SNR member of any group closer than :data:`MERGE_BINS` bins.
         """
         kept: list[tuple[float, float, float]] = []
         for freq, snr, floor in sorted(refined, key=lambda r: -r[1]):
-            if all(abs(freq - other[0]) > self.merge_bins * resolution_hz for other in kept):
+            if all(abs(freq - other[0]) > MERGE_BINS * resolution_hz for other in kept):
                 kept.append((freq, snr, floor))
         return sorted(kept)
 
@@ -646,7 +640,7 @@ class CollisionCounter:
         conjugate phase of its own fitted amplitude so that a lone tag
         lines up across captures despite its per-response random phase.
         """
-        q = self.n_subwindows
+        q = N_SUBWINDOWS
         chunks = []
         for wave, (amplitudes, probes) in zip(waves, per_capture):
             n = wave.n_samples
@@ -682,12 +676,12 @@ class CollisionCounter:
         """Coherence above which a spike may be a lone tone.
 
         The tolerance widens as the spike weakens (the coherence statistic
-        itself gets noisier) and never falls below ``min_slack`` (residual
+        itself gets noisier) and never falls below :data:`MIN_SLACK` (residual
         imperfection of neighbour-tone cancellation), calibrated against
         measured single-tone coherence scatter.
         """
-        slack = self.slack_base + self.slack_gamma / max(gamma, 0.3)
-        slack = min(self.max_slack, max(self.min_slack, slack))
+        slack = SLACK_BASE + SLACK_GAMMA / max(gamma, 0.3)
+        slack = min(MAX_SLACK, max(MIN_SLACK, slack))
         return expected * (1.0 - slack)
 
     def _dispersion_threshold(self, gamma: float) -> float:
@@ -699,7 +693,7 @@ class CollisionCounter:
         put (tones that start aligned rotate the magnitude, not the
         phase — coherence alone is blind to them).
         """
-        return self.dispersion_base + self.dispersion_gamma / max(gamma, 0.3)
+        return DISPERSION_BASE + DISPERSION_GAMMA / max(gamma, 0.3)
 
     def _classify_coherence(
         self,
@@ -710,17 +704,17 @@ class CollisionCounter:
     ) -> tuple[BinClass, dict]:
         mags = np.abs(values)
         mean_mag = float(mags.mean())
-        sigma_q = max(floor_norm * np.sqrt(self.n_subwindows), 1e-300)
+        sigma_q = max(floor_norm * np.sqrt(N_SUBWINDOWS), 1e-300)
         gamma = mean_mag / sigma_q
         if mean_mag == 0.0:
             return BinClass.REJECTED, _stats(0.0, 0.0, 0.0, 0.0)
         coherence = float(np.abs(values.mean()) / mean_mag)
         dispersion = float(mags.std() / mean_mag)
         expected = self._expected_single_coherence(
-            gamma, self.n_subwindows * n_captures
+            gamma, N_SUBWINDOWS * n_captures
         )
         stats = _stats(gamma, coherence, expected, dispersion)
-        if dense_mode and coherence < self.reality_coherence and gamma < self.reality_gamma:
+        if dense_mode and coherence < REALITY_COHERENCE and gamma < REALITY_GAMMA:
             return BinClass.REJECTED, stats
         if coherence >= self._single_threshold(expected, gamma) and dispersion <= self._dispersion_threshold(gamma):
             return BinClass.SINGLE, stats
@@ -735,7 +729,7 @@ class CollisionCounter:
         probes: np.ndarray,
     ) -> tuple[BinClass, dict]:
         """The paper's Eq 8 test (with neighbour-tone cancellation)."""
-        max_shift = max(self.shift_samples)
+        max_shift = max(SHIFT_SAMPLES)
         window = wave.n_samples - max_shift
         if window <= 0:
             raise ConfigurationError("waveform shorter than the largest shift")
@@ -757,10 +751,10 @@ class CollisionCounter:
         if reference == 0.0:
             return BinClass.REJECTED, _stats(0.0, 0.0, 0.0, 0.0)
         worst = 0.0
-        for shift in self.shift_samples:
+        for shift in SHIFT_SAMPLES:
             shifted = cancelled_window_mag(shift)
             worst = max(worst, abs(shifted - reference) / reference)
-        if worst <= self.shift_tolerance:
+        if worst <= SHIFT_TOLERANCE:
             return BinClass.SINGLE, _stats(np.nan, 1.0, 1.0, worst)
         return BinClass.MULTIPLE, _stats(np.nan, 0.0, 1.0, worst)
 

@@ -216,39 +216,6 @@ class CoherentDecoder:
             packet=None, n_queries=len(captures), cfo_hz=cfo, query_period_s=self.query_period_s
         )
 
-    def decode_many(
-        self,
-        captures: list[Waveform],
-        target_cfos_hz: list[float],
-        refine: bool = True,
-        min_queries: int = 1,
-    ) -> dict[float, DecodeResult]:
-        """Decode many targets from one shared capture list, batched.
-
-        The vectorized counterpart of calling :meth:`decode` once per
-        target: one :class:`MultiTargetCombiner` recombines the same
-        captures for every target, so each capture is read once and each
-        target's compensation is a broadcast, not a Python loop.  The
-        captures are single-antenna waveforms, so the combiner runs the
-        ``"single"`` policy and reproduces :meth:`decode` exactly.
-
-        Returns:
-            ``{requested cfo: DecodeResult}`` — same per-target outcomes
-            (packets and query counts) as the reference path.
-        """
-        if not captures:
-            raise DecodingError("no captures supplied")
-        combiner = MultiTargetCombiner(self, captures[0].n_samples, combining="single")
-        refined = [
-            self.refine_cfo(captures[0], cfo) if refine else float(cfo)
-            for cfo in target_cfos_hz
-        ]
-        keys = combiner.add_targets(refined)
-        combiner.advance(keys, captures, len(captures), min_queries=min_queries)
-        return {
-            cfo: combiner.result(key) for cfo, key in zip(target_cfos_hz, keys)
-        }
-
     def refine_cfo(self, capture: Waveform, cfo_hz: float) -> float:
         """Sub-bin refine a spike frequency on one capture (§3)."""
         return refine_frequency(

@@ -19,7 +19,12 @@ import numpy as np
 from ..channel.antenna import AntennaPair, TriangleArray
 from ..channel.collision import ReceivedCollision
 from ..channel.geometry import RoadSegment, aoa_cone_conic, intersect_conics
-from ..constants import PAIR_USABLE_MAX_DEG, PAIR_USABLE_MIN_DEG, WAVELENGTH_M
+from ..constants import (
+    PAIR_USABLE_MAX_DEG,
+    PAIR_USABLE_MIN_DEG,
+    TAG_HEIGHT_M,
+    WAVELENGTH_M,
+)
 from ..errors import GeometryError, LocalizationError
 from ..utils import wrap_angle
 from .cfo import estimate_channels, extract_collision_peaks
@@ -33,6 +38,23 @@ __all__ = [
     "TwoReaderLocalizer",
     "LaneProjectionLocalizer",
 ]
+
+#: Spike detection threshold of :meth:`AoAEstimator.estimate_all` over
+#: the local (CFAR) floor [dB].
+AOA_MIN_SNR_DB = 15.0
+
+#: How far outside the road edge a fix may fall and still count as on
+#: the road [m] (footnote 10: candidates beyond are "on the sidewalk").
+ROAD_MARGIN_M = 1.5
+
+#: Per-baseline tolerance between the phase a lane candidate would
+#: produce and the measured one [deg]. Phase noise is roughly uniform
+#: across pairs (unlike angle noise, which blows up toward end-fire), so
+#: :class:`LaneProjectionLocalizer` gates in phase space: a candidate
+#: exceeding it on any baseline is a ghost (e.g. a tag that is really
+#: outside the reader's road segment) and is rejected rather than
+#: reported.
+MAX_PHASE_ERROR_DEG = 15.0
 
 
 def aoa_from_phase(
@@ -103,13 +125,9 @@ class AoAEstimator:
 
     Attributes:
         array: the reader's antenna triangle.
-        wavelength_m: carrier wavelength.
-        min_snr_db: spike detection threshold (forwarded to peak search).
     """
 
     array: TriangleArray
-    wavelength_m: float = WAVELENGTH_M
-    min_snr_db: float = 15.0
 
     def estimate_from_channels(
         self, cfo_hz: float, channels: np.ndarray
@@ -135,7 +153,7 @@ class AoAEstimator:
         alphas = []
         for pair, (i, j) in zip(self.array.pairs(), self.array.pair_indices()):
             delta_phi = float(np.angle(channels[j] / channels[i]))
-            alphas.append(aoa_from_phase(delta_phi, pair.spacing_m, self.wavelength_m))
+            alphas.append(aoa_from_phase(delta_phi, pair.spacing_m))
         best = int(np.argmin([abs(a - np.pi / 2.0) for a in alphas]))
         return AoAEstimate(
             cfo_hz=float(cfo_hz),
@@ -159,20 +177,6 @@ class AoAEstimator:
         channels = estimate_channels(collision.antennas[:3], cfo_hz)
         return self.estimate_from_channels(cfo_hz, channels)
 
-    def estimate_from_decode(self, result) -> AoAEstimate:
-        """AoA straight from a decode outcome — no extra spectral pass.
-
-        The decoder already read every antenna's channel (Eq 5) for each
-        capture it combined; a
-        :attr:`~repro.core.decoding.DecodeResult.channels` vector carries
-        that evidence coherently summed across captures, so its phase
-        differences *are* the AoA measurement, averaged over the whole
-        decode burst (§8 meets §6: localization falls out of decoding).
-        """
-        if result.channels is None:
-            raise LocalizationError("decode result carries no channel estimates")
-        return self.estimate_from_channels(result.cfo_hz, result.channels)
-
     def estimate_all(
         self, collision: ReceivedCollision, cfos_hz: list[float] | None = None
     ) -> list[AoAEstimate]:
@@ -186,7 +190,7 @@ class AoAEstimator:
         """
         if cfos_hz is not None:
             return [self.estimate_for_cfo(collision, float(f)) for f in cfos_hz]
-        peaks = extract_collision_peaks(collision, min_snr_db=self.min_snr_db)
+        peaks = extract_collision_peaks(collision, min_snr_db=AOA_MIN_SNR_DB)
         return [
             self.estimate_from_channels(p.cfo_hz, p.channels) for p in peaks
         ]
@@ -219,17 +223,14 @@ class TwoReaderLocalizer:
     §6: one AoA confines the car to a conic on the road plane; a second
     reader (typically across the street) adds another; their intersection
     points are computed numerically and candidates off the pavement are
-    rejected (they are "on the sidewalk", footnote 10).
+    rejected (they are "on the sidewalk", footnote 10). The AoA cones
+    are intersected with the *transponder* plane, :data:`TAG_HEIGHT_M`
+    above the road (footnote 14: pole, antennas and tag are treated as
+    coplanar geometry), then the (x, y) is reported on the road.
     """
 
     first: ReaderGeometry
     second: ReaderGeometry
-    road_margin_m: float = 1.5
-    #: Height of the windshield-mounted transponder above the road. The
-    #: AoA cone is intersected with the *transponder* plane (footnote 14:
-    #: pole, antennas and tag are treated as coplanar geometry), then the
-    #: (x, y) is reported on the road.
-    tag_height_m: float = 1.0
 
     def locate(
         self,
@@ -256,16 +257,16 @@ class TwoReaderLocalizer:
         road = self.first.road
         pair_a = estimator_a.best_pair(estimate_a)
         pair_b = estimator_b.best_pair(estimate_b)
-        plane_z = road.z_m + self.tag_height_m
+        plane_z = road.z_m + TAG_HEIGHT_M
         conic_a = aoa_cone_conic(
             pair_a.midpoint_m, pair_a.axis, estimate_a.alpha_rad, plane_z
         )
         conic_b = aoa_cone_conic(
             pair_b.midpoint_m, pair_b.axis, estimate_b.alpha_rad, plane_z
         )
-        x_range = (road.x_min_m - self.road_margin_m, road.x_max_m + self.road_margin_m)
+        x_range = (road.x_min_m - ROAD_MARGIN_M, road.x_max_m + ROAD_MARGIN_M)
         points = intersect_conics(conic_a, conic_b, x_range)
-        on_road = [p for p in points if road.contains(p, margin_m=self.road_margin_m)]
+        on_road = [p for p in points if road.contains(p, margin_m=ROAD_MARGIN_M)]
         if not on_road:
             raise GeometryError(
                 f"no conic intersection on the road (found {len(points)} points total)"
@@ -290,10 +291,10 @@ class LaneProjectionLocalizer:
     (:class:`TwoReaderLocalizer`, Fig 7). On an instrumented road the
     unknown is effectively one-dimensional, though: cars sit in known
     lanes (or marked parking spots), so intersecting the cone with each
-    lane line ``y = lane, z = tag height`` reduces localization to a
-    quadratic in the along-road coordinate x. At most two candidates
-    survive per lane; road limits, the cone's half-space, and an optional
-    hint (e.g. the car's previous fix) disambiguate.
+    lane line ``y = lane`` at tag height (:data:`TAG_HEIGHT_M`) reduces
+    localization to a quadratic in the along-road coordinate x. At most
+    two candidates survive per lane; road limits, the cone's half-space,
+    and an optional hint (e.g. the car's previous fix) disambiguate.
 
     This is what lets a :class:`~repro.core.network.ReaderNetwork` station
     mint positioned observations from a *single* pole per approach.
@@ -301,22 +302,10 @@ class LaneProjectionLocalizer:
     Attributes:
         road: the road segment the lanes belong to.
         lane_ys_m: cross-road coordinates of the lane centers to try.
-        tag_height_m: windshield transponder height above the road.
-        road_margin_m: tolerance outside the road edge (footnote 10).
-        max_phase_error_deg: per-baseline tolerance between the phase a
-            candidate would produce and the measured one. Phase noise is
-            roughly uniform across pairs (unlike angle noise, which blows
-            up toward end-fire), so the gate is applied in phase space: a
-            candidate exceeding it on any baseline is a ghost (e.g. a tag
-            that is really outside this reader's road segment) and is
-            rejected rather than reported.
     """
 
     road: RoadSegment
     lane_ys_m: tuple[float, ...]
-    tag_height_m: float = 1.0
-    road_margin_m: float = 1.5
-    max_phase_error_deg: float = 15.0
 
     def locate(
         self,
@@ -346,7 +335,7 @@ class LaneProjectionLocalizer:
         apex = pair.midpoint_m
         axis = pair.axis
         cos_a = float(np.cos(estimate.alpha_rad))
-        z = self.road.z_m + self.tag_height_m
+        z = self.road.z_m + TAG_HEIGHT_M
         candidates: list[np.ndarray] = []
         for lane_y in self.lane_ys_m:
             dy = lane_y - apex[1]
@@ -374,10 +363,9 @@ class LaneProjectionLocalizer:
                 if cos_a * along < -1e-9:
                     continue
                 point = np.array([apex[0] + x_rel, lane_y])
-                if self.road.contains(point, margin_m=self.road_margin_m):
+                if self.road.contains(point, margin_m=ROAD_MARGIN_M):
                     candidates.append(point)
         pairs = estimator.array.pairs()
-        self_wl = estimator.wavelength_m
 
         def phase_errors_rad(point_xy: np.ndarray) -> np.ndarray:
             p = np.array([point_xy[0], point_xy[1], z])
@@ -389,11 +377,10 @@ class LaneProjectionLocalizer:
                     abs(
                         float(
                             wrap_angle(
-                                phase_from_aoa(alpha, pair_k.spacing_m, self_wl)
+                                phase_from_aoa(alpha, pair_k.spacing_m)
                                 - phase_from_aoa(
                                     pair_k.true_spatial_angle_rad(p),
                                     pair_k.spacing_m,
-                                    self_wl,
                                 )
                             )
                         )
@@ -405,7 +392,7 @@ class LaneProjectionLocalizer:
         # A real tag matches all three measured baselines to within phase
         # noise; a ghost (wrong lane, or a tag outside this road segment
         # whose cone happens to graze it) only matches the selected one.
-        ceiling = float(np.deg2rad(self.max_phase_error_deg))
+        ceiling = float(np.deg2rad(MAX_PHASE_ERROR_DEG))
         scored = [(p, phase_errors_rad(p)) for p in candidates]
         scored = [(p, errors) for p, errors in scored if errors.max() <= ceiling]
         if not scored:

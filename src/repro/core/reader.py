@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
 from ..channel.collision import ReceivedCollision
-from ..constants import QUERY_PERIOD_S
 from .counting import CollisionCounter, CountEstimate
 from .decoding import CoherentDecoder, DecodeResult, DecodeSession
 from .localization import AoAEstimate, AoAEstimator, ReaderGeometry
@@ -51,20 +49,18 @@ class CaraokeReader:
 
     Attributes:
         geometry: antenna array and the road it watches.
-        counter: the counting engine (§5).
-        estimator: the AoA engine (§6); built from the geometry if omitted.
         sample_rate_hz: ADC rate of the captures this reader processes.
+        counter: the counting engine (§5).
+        estimator: the AoA engine (§6), built from the geometry.
     """
 
     geometry: ReaderGeometry
     sample_rate_hz: float
-    counter: CollisionCounter = field(default_factory=CollisionCounter)
-    estimator: AoAEstimator | None = None
-    query_period_s: float = QUERY_PERIOD_S
+    counter: CollisionCounter = field(default_factory=CollisionCounter, init=False)
+    estimator: AoAEstimator = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.estimator is None:
-            self.estimator = AoAEstimator(self.geometry.array)
+        self.estimator = AoAEstimator(self.geometry.array)
 
     # -- per-collision processing -----------------------------------------------
 
@@ -116,7 +112,7 @@ class CaraokeReader:
             obs: nullable observability hook (see :mod:`repro.obs`),
                 threaded into the session and its combiner.
         """
-        decoder = CoherentDecoder(self.sample_rate_hz, self.query_period_s)
+        decoder = CoherentDecoder(self.sample_rate_hz)
         return DecodeSession(
             query_fn=query_fn,
             decoder=decoder,

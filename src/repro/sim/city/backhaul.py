@@ -246,11 +246,11 @@ class BackhaulConfig:
             application, the pre-backhaul behavior, golden-pinned),
             ``"scheduled"`` (per-pole sync schedule with retry/backoff)
             or ``"mule"`` (cars carry deltas to gateway poles).
-        sync_period_s: flush cadence under ``scheduled``.
-        stagger: phase-stagger the per-pole schedules (pole ``i`` of
-            ``n`` first syncs at ``period * (1 + i/n)``) so the
-            directory sees a spread load instead of a thundering herd.
-            Deterministic — derived from sorted station order, no RNG.
+        sync_period_s: flush cadence under ``scheduled``. The per-pole
+            schedules are phase-staggered (pole ``i`` of ``n`` first
+            syncs at ``period * (1 + i/n)``) so the directory sees a
+            spread load instead of a thundering herd. Deterministic —
+            derived from sorted station order, no RNG.
         retry_backoff_s / max_backoff_s: exponential retry backoff
             bounds after an outage or dropped flush.
         heartbeat_s: how often a *serial* mesh run advances the plane
@@ -267,7 +267,6 @@ class BackhaulConfig:
 
     policy: str = "wired"
     sync_period_s: float = 2.0
-    stagger: bool = True
     retry_backoff_s: float = 0.25
     max_backoff_s: float = 2.0
     heartbeat_s: float = 0.25
@@ -361,7 +360,7 @@ class BackhaulPlane:
         for i, name in enumerate(self.stations):
             link = BackhaulLink(station=name)
             if self.policy == "scheduled":
-                phase = (config.sync_period_s * i / n) if (config.stagger and n) else 0.0
+                phase = config.sync_period_s * i / n
                 link.next_attempt_s = config.sync_period_s + phase
             self._links[name] = link
         #: car satchels under ``mule``: items riding each tag, keyed by id.

@@ -74,7 +74,7 @@ class StationCell:
             z_m=self.road.z_m,
         )
 
-    def localizer(self, **kwargs) -> LaneProjectionLocalizer:
+    def localizer(self) -> LaneProjectionLocalizer:
         """A single-pole localizer confined to this cell's segment.
 
         Fixes outside the cell are rejected by the segment bounds and
@@ -82,7 +82,7 @@ class StationCell:
         of labor the example encoded by hand.
         """
         return LaneProjectionLocalizer(
-            road=self.segment(), lane_ys_m=tuple(self.lane_ys_m), **kwargs
+            road=self.segment(), lane_ys_m=tuple(self.lane_ys_m)
         )
 
 

@@ -101,6 +101,15 @@ CACHE_MAX_ENTRIES = 512
 CACHE_MAX_AGE_S = 600.0
 
 
+def sense_slack_s(max_queries: int) -> float:
+    """Carrier-sense lookback that covers a whole synchronous decode burst.
+
+    Burst queries sense up to ``max_queries`` periods past the event
+    clock, and later events still need everything in that window.
+    """
+    return max(0.25, max_queries * QUERY_PERIOD_S + RESPONSE_DURATION_S + 0.05)
+
+
 @dataclass
 class CorridorStation:
     """One pole of the corridor: reader + front-end + cell + cache.
@@ -137,29 +146,33 @@ class CorridorStation:
     jitter_s: float = 5e-3
     combining: str = "mrc"
     opportunistic: str = "accept"
-    upstream: "CorridorStation | None" = field(default=None, repr=False)
-    downstream: "CorridorStation | None" = field(default=None, repr=False)
+    upstream: "CorridorStation | None" = field(default=None, init=False, repr=False)
+    downstream: "CorridorStation | None" = field(
+        default=None, init=False, repr=False
+    )
     #: Predictively pushed cache entries not yet consumed by a sighting:
     #: ``tag_id -> (pushing station, fingerprint, push time)``. Filled by
     #: :meth:`receive_push`; the first sighting resolved by a pushed
     #: entry pops it (and is ledgered as ``push`` rather than ``own``);
     #: entries still here at run end are recorded as push *misses*.
-    pushed: dict = field(default_factory=dict, repr=False)
+    pushed: dict = field(default_factory=dict, init=False, repr=False)
     # -- per-run statistics --
-    queries_sent: int = 0
-    queries_deferred: int = 0
-    rounds: int = 0
-    empty_rounds: int = 0
-    corrupted_rounds: int = 0
-    overheard_donated: int = 0
+    queries_sent: int = field(default=0, init=False)
+    queries_deferred: int = field(default=0, init=False)
+    rounds: int = field(default=0, init=False)
+    empty_rounds: int = field(default=0, init=False)
+    corrupted_rounds: int = field(default=0, init=False)
+    overheard_donated: int = field(default=0, init=False)
     #: Harvest cursor: pool windows ending at or before this were already
     #: offered to (or aged past) this station.
-    last_harvest_s: float = 0.0
+    last_harvest_s: float = field(default=0.0, init=False)
     #: This pole's own capture slots (the response window each own query
     #: opened) — overheard windows overlapping them are off limits: the
     #: receiver was busy, and coincident triggers already merged into the
     #: own capture.
-    _own_windows: list[tuple[float, float]] = field(default_factory=list, repr=False)
+    _own_windows: list[tuple[float, float]] = field(
+        default_factory=list, init=False, repr=False
+    )
     fixes: FixHints = field(default_factory=FixHints, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -238,7 +251,7 @@ class CorridorResult:
     #: capture was synthesized (only transmissions known by then) versus
     #: re-checked post-hoc against the final air log. The synthesis-time
     #: count under-counts exactly when bursts interleave blindly (the
-    #: no-CSMA / ``defer_to_queries=False`` ablation); the post-hoc count
+    #: no-CSMA / ``use_csma=False`` ablation); the post-hoc count
     #: is exact.
     burst_captures: int = 0
     burst_corrupted_at_synthesis: int = 0
@@ -455,12 +468,9 @@ class CityCorridor:
             for station in self.stations:
                 if station.mac.obs is None:
                     station.mac.obs = self._station_obs[station.name]
-        # Sensing lookback must cover a whole synchronous decode burst:
-        # burst queries sense up to max_queries periods past the event
-        # clock, and later events still need everything in that window.
-        slack_s = max(
-            0.25, self.max_queries * QUERY_PERIOD_S + RESPONSE_DURATION_S + 0.05
-        )
+                if station.reader.counter.obs is None:
+                    station.reader.counter.obs = self._station_obs[station.name]
+        slack_s = sense_slack_s(self.max_queries)
         if air is None:
             self.air = AirLog(sense_slack_s=slack_s, obs=obs)
         else:

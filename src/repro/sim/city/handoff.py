@@ -33,7 +33,7 @@ entry instead of burning a re-decode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = ["SightingRecord", "PushRecord", "HandoffLedger"]
 
@@ -178,8 +178,7 @@ class HandoffLedger:
         other station already knew this id. Returns the kind it was
         classified as (``decode`` or ``redecode``) so the caller can
         tag the sighting's provenance without re-deriving it."""
-        known_elsewhere = self._stations_knowing.get(tag_id, set()) - {station}
-        kind = REDECODE if known_elsewhere else DECODE
+        kind = self._decode_kind(station, tag_id)
         self._append(
             SightingRecord(
                 t_s,
@@ -201,7 +200,7 @@ class HandoffLedger:
         n_queries: int = 0,
         n_overheard: int = 0,
     ) -> None:
-        self.records.append(
+        self._append(
             SightingRecord(
                 t_s,
                 station,
@@ -215,7 +214,7 @@ class HandoffLedger:
     def record_decode_deferred(self, station: str, t_s: float, cfo_hz: float) -> None:
         """A spike left unidentified this round (e.g. below the decode
         SNR gate: the tag is still far, a later round will be cheaper)."""
-        self.records.append(SightingRecord(t_s, station, DECODE_DEFERRED, cfo_hz))
+        self._append(SightingRecord(t_s, station, DECODE_DEFERRED, cfo_hz))
 
     def record_cell_entry(self, t_s: float, cell: str, tag_id: int) -> None:
         self.cell_entries.append((t_s, cell, tag_id))
@@ -223,9 +222,31 @@ class HandoffLedger:
     def record_cell_exit(self, t_s: float, cell: str, tag_id: int) -> None:
         self.cell_exits.append((t_s, cell, tag_id))
 
+    def replay(self, record: SightingRecord) -> None:
+        """Re-record a sighting another ledger already recorded.
+
+        Decodes are classified afresh against this ledger's knowledge
+        (a decode some other station's earlier record now explains
+        becomes a ``redecode``); every other kind is kept as recorded.
+        Replaying a stream in time order therefore equals recording it
+        here through the typed ``record_*`` calls.
+        """
+        if record.kind in (DECODE, REDECODE):
+            record = replace(
+                record, kind=self._decode_kind(record.station, record.tag_id)
+            )
+        self._append(record)
+
+    def _decode_kind(self, station: str, tag_id: int) -> str:
+        known_elsewhere = self._stations_knowing.get(tag_id, set()) - {station}
+        return REDECODE if known_elsewhere else DECODE
+
     def _append(self, record: SightingRecord) -> None:
         self.records.append(record)
-        self._stations_knowing.setdefault(record.tag_id, set()).add(record.station)
+        if record.tag_id is not None:
+            self._stations_knowing.setdefault(record.tag_id, set()).add(
+                record.station
+            )
 
     # -- statistics ------------------------------------------------------------
 

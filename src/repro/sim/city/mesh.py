@@ -56,7 +56,7 @@ from functools import partial
 
 import numpy as np
 
-from ...constants import QUERY_PERIOD_S, READER_RANGE_M, RESPONSE_DURATION_S
+from ...constants import READER_RANGE_M, TAG_HEIGHT_M
 from ...errors import ConfigurationError
 from ...utils import as_rng
 from ..scenario import city_corridor_scene, make_tags
@@ -65,13 +65,22 @@ from ..medium import AirLog
 from ..mobility import ConstantSpeedTrajectory
 from ..traffic import PoissonArrivals, TrafficLight
 from .backhaul import BackhaulConfig, BackhaulPlane
-from .corridor import CityCorridor, CorridorResult, CorridorStation
+from .corridor import (
+    CityCorridor,
+    CorridorResult,
+    CorridorStation,
+    sense_slack_s,
+)
 from .directory import IdentityDirectory
 from .handoff import DECODE, HANDOFF, OWN_HIT, PUSH, REDECODE, HandoffLedger
 from .moving import MovingTag
 from .pool import ResponsePool
 
 __all__ = ["MeshNode", "MeshEdge", "CityMesh", "MeshResult", "downtown_grid"]
+
+#: Predicted arrivals further out than this get no push [s]: the entry
+#: would age toward uselessness first.
+PUSH_HORIZON_S = 60.0
 
 #: Sighting kinds that attribute a tag id (the records the cross-corridor
 #: analysis walks). Failures/deferrals carry no id and cannot mark entry.
@@ -196,7 +205,7 @@ def _schedule_admissions(
 def _admit(edge: MeshEdge, adm: _Admission, scheduler: EventScheduler) -> None:
     """A car enters an edge: a fresh constant-speed leg from its entry."""
     trajectory = ConstantSpeedTrajectory(
-        start_m=np.array([edge.entry_x_m, adm.lane_y_m, 1.0]),
+        start_m=np.array([edge.entry_x_m, adm.lane_y_m, TAG_HEIGHT_M]),
         velocity_m_s=np.array([adm.speed_m_s, 0.0, 0.0]),
         t0_s=scheduler.now_s,
     )
@@ -338,8 +347,6 @@ class CityMesh:
             both are validated.
         frame_gap_m: spacing between consecutive edge frames on the
             global axis.
-        push_horizon_s: do not push for predicted arrivals further out
-            than this (the entry would age toward uselessness first).
         backhaul: how pole↔directory traffic travels (see
             :mod:`repro.sim.city.backhaul`) — None or ``"wired"`` for
             the immediate-delivery behavior (bit-identical to a mesh
@@ -365,7 +372,6 @@ class CityMesh:
         directory: IdentityDirectory | None = None,
         interference_range_m: float = 500.0,
         frame_gap_m: float = 1000.0,
-        push_horizon_s: float = 60.0,
         max_queries: int = 32,
         backhaul: BackhaulConfig | str | None = None,
         obs=None,
@@ -387,11 +393,8 @@ class CityMesh:
         )
         self.interference_range_m = float(interference_range_m)
         self.frame_gap_m = float(frame_gap_m)
-        self.push_horizon_s = float(push_horizon_s)
         self.max_queries = int(max_queries)
-        slack_s = max(
-            0.25, self.max_queries * QUERY_PERIOD_S + RESPONSE_DURATION_S + 0.05
-        )
+        slack_s = sense_slack_s(self.max_queries)
         self.air = AirLog(sense_slack_s=slack_s, obs=obs)
         self.pool = ResponsePool(slack_s=slack_s, obs=obs)
         self.ledger = HandoffLedger()
@@ -706,7 +709,7 @@ class CityMesh:
         if not plan:
             return []
         positions = [
-            [self._edge(route[0]).entry_x_m, lane_y, 1.0]
+            [self._edge(route[0]).entry_x_m, lane_y, TAG_HEIGHT_M]
             for route, _, _, lane_y in plan
         ]
         transponders = make_tags(np.array(positions), rng=self.rng)
@@ -872,7 +875,7 @@ class CityMesh:
         ):
             return None
         eta_s = t_s + max(distance_m, 0.0) / estimate.speed_m_s
-        if eta_s - t_s > self.push_horizon_s:
+        if eta_s - t_s > PUSH_HORIZON_S:
             return None
         return (target.name, station_name, tag_id, cfo_hz, float(t_s), eta_s)
 

@@ -81,16 +81,7 @@ from ...constants import READER_RANGE_M
 from ...errors import ConfigurationError, SimulationError
 from ..events import EventScheduler
 from ..medium import AirLog
-from .handoff import (
-    DECODE,
-    DECODE_DEFERRED,
-    DECODE_FAILED,
-    HANDOFF,
-    OWN_HIT,
-    PUSH,
-    REDECODE,
-    HandoffLedger,
-)
+from .handoff import HandoffLedger
 from .mesh import CityMesh, MeshResult, _plant_push, _schedule_admissions
 from .pool import ResponsePool
 
@@ -217,6 +208,7 @@ class _ShardGroup:
                 station.source.bank.rng = rng
                 if self.obs is not None:
                     station.mac.obs = corridor._station_obs[station.name]
+                    station.reader.counter.obs = corridor._station_obs[station.name]
                 self._stations[station.name] = station
             corridor.prime(self.scheduler, duration_s)
         _schedule_admissions(self.scheduler, admissions, self._edges)
@@ -589,35 +581,7 @@ def _merge(
             records.append((rec.t_s, key, idx, rec))
     records.sort(key=lambda item: item[:3])
     for _, _, _, rec in records:
-        if rec.kind in (DECODE, REDECODE):
-            merged.record_decode(
-                rec.station,
-                rec.tag_id,
-                rec.t_s,
-                rec.cfo_hz,
-                n_queries=rec.n_queries,
-                n_overheard=rec.n_overheard,
-            )
-        elif rec.kind == OWN_HIT:
-            merged.record_own_hit(rec.station, rec.tag_id, rec.t_s, rec.cfo_hz)
-        elif rec.kind == HANDOFF:
-            merged.record_handoff(
-                rec.station, rec.from_station, rec.tag_id, rec.t_s, rec.cfo_hz
-            )
-        elif rec.kind == PUSH:
-            merged.record_push_hit(
-                rec.station, rec.from_station, rec.tag_id, rec.t_s, rec.cfo_hz
-            )
-        elif rec.kind == DECODE_FAILED:
-            merged.record_decode_failure(
-                rec.station,
-                rec.t_s,
-                rec.cfo_hz,
-                n_queries=rec.n_queries,
-                n_overheard=rec.n_overheard,
-            )
-        elif rec.kind == DECODE_DEFERRED:
-            merged.record_decode_deferred(rec.station, rec.t_s, rec.cfo_hz)
+        merged.replay(rec)
 
     def gather(attr):
         out = []

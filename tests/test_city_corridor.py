@@ -118,6 +118,52 @@ class TestHandoffLedger:
         assert summary["counts"]["decode-deferred"] == 1
         assert summary["tags_identified"] == 0
 
+    def test_replay_equals_typed_recording(self):
+        """Per-station ledgers replayed in time order into a fresh ledger
+        equal one ledger fed the whole stream through the typed
+        ``record_*`` calls (the sharded engine's merge contract)."""
+        rng = np.random.default_rng(2015)
+        stations = [f"pole-{k}" for k in range(4)]
+        kinds = ("own", "handoff", "push", "decode", "decode-failed", "decode-deferred")
+
+        def record(ledger, kind, station, other, tag_id, t_s, cfo, n_q, n_o):
+            if kind == "own":
+                ledger.record_own_hit(station, tag_id, t_s, cfo)
+            elif kind == "handoff":
+                ledger.record_handoff(station, other, tag_id, t_s, cfo)
+            elif kind == "push":
+                ledger.record_push_hit(station, other, tag_id, t_s, cfo)
+            elif kind == "decode":
+                ledger.record_decode(station, tag_id, t_s, cfo, n_q, n_o)
+            elif kind == "decode-failed":
+                ledger.record_decode_failure(station, t_s, cfo, n_q, n_o)
+            else:
+                ledger.record_decode_deferred(station, t_s, cfo)
+
+        whole = HandoffLedger()
+        local = {station: HandoffLedger() for station in stations}
+        for step in range(300):
+            station, other = (stations[i] for i in rng.integers(0, 4, size=2))
+            event = (
+                kinds[rng.integers(len(kinds))],
+                station,
+                other,
+                int(rng.integers(8)),
+                0.01 * step,
+                float(rng.uniform(20e3, 1.2e6)),
+                int(rng.integers(1, 32)),
+                int(rng.integers(0, 4)),
+            )
+            record(whole, *event)
+            record(local[station], *event)
+        replayed = HandoffLedger()
+        stream = [r for ledger in local.values() for r in ledger.records]
+        for r in sorted(stream, key=lambda r: r.t_s):
+            replayed.replay(r)
+        assert {r.kind for r in whole.records} == set(kinds) | {"redecode"}
+        assert replayed.records == whole.records
+        assert replayed.summary() == whole.summary()
+
 
 class TestMovingTag:
     def trajectory(self):

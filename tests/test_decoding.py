@@ -105,6 +105,14 @@ def count_demod_attempts(decoder):
     return counter
 
 
+def combine_single(decoder, captures, cfos, min_queries=1):
+    """Batch-decode single-antenna captures through one combiner."""
+    combiner = MultiTargetCombiner(decoder, captures[0].n_samples, combining="single")
+    keys = combiner.add_targets([decoder.refine_cfo(captures[0], cfo) for cfo in cfos])
+    combiner.advance(keys, captures, len(captures), min_queries=min_queries)
+    return {cfo: combiner.result(key) for cfo, key in zip(cfos, keys)}
+
+
 class TestMultiTargetCombiner:
     def test_decode_many_matches_reference(self):
         """The batched path must reproduce the reference decoder exactly:
@@ -113,7 +121,7 @@ class TestMultiTargetCombiner:
         sim, _ = build_sim(cfos, seed=20)
         decoder = CoherentDecoder(FS)
         captures = [sim.query(i * 1e-3).antenna(0) for i in range(48)]
-        batched = decoder.decode_many(captures, cfos)
+        batched = combine_single(decoder, captures, cfos)
         for cfo in cfos:
             reference = decoder.decode(captures, cfo)
             assert batched[cfo].packet == reference.packet
@@ -124,9 +132,12 @@ class TestMultiTargetCombiner:
         sim, _ = build_sim([500e3], seed=21)
         decoder = CoherentDecoder(FS)
         captures = [sim.query(i * 1e-3).antenna(0) for i in range(8)]
-        results = decoder.decode_many(captures, [500e3], min_queries=4)
+        results = combine_single(decoder, captures, [500e3], min_queries=4)
         assert results[500e3].success
         assert results[500e3].n_queries >= 4
+        reference = decoder.decode(captures, 500e3, min_queries=4)
+        assert results[500e3].packet == reference.packet
+        assert results[500e3].n_queries == reference.n_queries
 
     def test_zero_channel_estimate_rejected(self):
         decoder = CoherentDecoder(FS)

@@ -86,7 +86,6 @@ class TestCsmaState:
         state.add_busy(1.0, 2.0)
         assert state.idle_since(2.0) == 0.0
         assert not ReaderMac().can_transmit(2.0, state)
-        assert not ReaderMac(defer_to_queries=True).can_transmit(2.0, state)
 
     def test_abutting_intervals_merge(self):
         """Back-to-back energy is one continuous busy stretch."""
@@ -120,7 +119,7 @@ class TestCsmaState:
 class TestReaderMac:
     def test_listen_window_is_120us(self):
         assert CSMA_LISTEN_S == pytest.approx(120e-6)
-        assert ReaderMac().listen_s == pytest.approx(QUERY_DURATION_S + TURNAROUND_S)
+        assert CSMA_LISTEN_S == pytest.approx(QUERY_DURATION_S + TURNAROUND_S)
 
     def test_transmit_allowed_on_silent_medium(self):
         assert ReaderMac().can_transmit(0.0, CsmaState())
@@ -152,8 +151,8 @@ class TestReaderMac:
 
 
 class TestDeferToQueriesPolicies:
-    """The §9 refinement: classified query energy is benign, and the
-    ``defer_to_queries=True`` ablation treats it like any other energy."""
+    """The §9 refinement: classified query energy is benign, while
+    response energy, response windows and unclassified energy defer."""
 
     def query_just_ended(self, end_s=1.0):
         state = CsmaState()
@@ -166,12 +165,6 @@ class TestDeferToQueriesPolicies:
         query's response slot opens."""
         state = self.query_just_ended(1.0)
         assert ReaderMac().can_transmit(1.0 + 10e-6, state)
-
-    def test_ablation_policy_defers_to_query_energy(self):
-        state = self.query_just_ended(1.0)
-        mac = ReaderMac(defer_to_queries=True)
-        assert not mac.can_transmit(1.0 + 10e-6, state)
-        assert mac.can_transmit(1.0 + CSMA_LISTEN_S + 1e-9, state)
 
     def test_default_policy_honors_response_window(self):
         """The query may not land inside the response slot a heard query
@@ -196,16 +189,14 @@ class TestDeferToQueriesPolicies:
         state = CsmaState()
         state.add_busy(1.0 - 50e-6, 1.0)  # unknown kind
         assert not ReaderMac().can_transmit(1.0 + 50e-6, state)
-        assert not ReaderMac(defer_to_queries=True).can_transmit(1.0 + 50e-6, state)
 
     def test_next_opportunity_agrees_with_can_transmit(self):
-        for defer in (False, True):
-            state = CsmaState()
-            state.add_busy(0.0, 1e-3)
-            state.add_busy(2e-3, 2.02e-3, kind="query")
-            mac = ReaderMac(defer_to_queries=defer)
-            t = mac.next_opportunity(1e-3, state)
-            assert mac.can_transmit(t, state)
+        state = CsmaState()
+        state.add_busy(0.0, 1e-3)
+        state.add_busy(2e-3, 2.02e-3, kind="query")
+        mac = ReaderMac()
+        t = mac.next_opportunity(1e-3, state)
+        assert mac.can_transmit(t, state)
 
 
 class TestAirLog:

@@ -9,17 +9,19 @@ import pytest
 from repro.obs import MetricsRegistry, Obs, SpanTracer, TraceError
 from repro.obs.report import main as report_main, validate_metrics, validate_trace
 from repro.sim.city import CityCorridor, CityMesh
+from repro.sim.city.mesh import downtown_grid
+from repro.sim.city.parallel import run_sharded
 from repro.sim.scenario import city_corridor_scene
 from repro.sim.traffic import TrafficLight
 
 LANES = (-1.75, -5.25)
 
 
-def small_corridor(seed=17, obs=None):
+def small_corridor(seed=17, obs=None, n_cars=5):
     scene, trajectories = city_corridor_scene(
         n_poles=3,
         pole_spacing_m=35.0,
-        n_cars=5,
+        n_cars=n_cars,
         speed_range_m_s=(10.0, 16.0),
         entry_window_s=1.5,
         rng=seed,
@@ -360,3 +362,43 @@ class TestDeterminism:
         observed = chain_mesh(seed=7, obs=Obs(trace=True)).run(10.0)
         dump = lambda r: json.dumps(r.summary(), sort_keys=True, default=str)
         assert dump(plain) == dump(observed)
+
+
+def counted_rounds(station) -> int:
+    """Rounds that reached the §5 counter: occupied and uncorrupted."""
+    return station.rounds - station.empty_rounds - station.corrupted_rounds
+
+
+class TestCounterMetrics:
+    """Each station's counter reports on the station's obs view: one
+    ``count.pass`` per round that reached it."""
+
+    def test_corridor_counts_every_counted_round(self):
+        obs = Obs()
+        corridor = small_corridor(seed=5, obs=obs, n_cars=12)
+        result = corridor.run(3.0)
+        passes = obs.metrics.total("count.pass")
+        assert passes > 0
+        assert passes == (
+            result.rounds - result.empty_rounds - result.corrupted_rounds
+        )
+        for station in corridor.stations:
+            assert sum(
+                obs.metrics.counter("count.pass", station=station.name, regime=r)
+                for r in ("sparse", "dense")
+            ) == counted_rounds(station)
+
+    @pytest.mark.parametrize("engine", ["serial", "sharded"])
+    def test_mesh_counts_every_counted_round(self, engine):
+        obs = Obs()
+        mesh = downtown_grid(2, 2, rng=11, rate_per_s=0.5, obs=obs)
+        if engine == "serial":
+            mesh.run(6.0)
+        else:
+            run_sharded(
+                mesh, 6.0, workers=2, in_process=True, shard_obs_factory=Obs
+            )
+        stations = [s for edge in mesh.edges.values() for s in edge.corridor.stations]
+        passes = obs.metrics.total("count.pass")
+        assert passes > 0
+        assert passes == sum(counted_rounds(s) for s in stations)
