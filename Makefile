@@ -4,16 +4,18 @@
 # docs/ANALYSIS.md) + the full tier-1 test suite. `make check-fast` is
 # the per-push CI tier: it deselects the `slow` whole-corridor
 # simulations (the nightly schedule runs everything plus the perf-gate
-# benchmarks).
+# benchmarks), and imports every benchmark module without running it
+# (`bench-collect`), so a renamed library name a bench still uses fails
+# per push.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check check-fast check-docs lint analyze test test-fast bench
+.PHONY: check check-fast check-docs lint analyze test test-fast bench bench-collect
 
 check: lint analyze test
 
-check-fast: lint analyze test-fast
+check-fast: lint analyze bench-collect test-fast
 
 # Docs tier: intra-repo links must resolve, and these examples must run
 # end to end: the city mesh (short simulation via REPRO_MESH_DURATION_S),
@@ -44,6 +46,12 @@ test:
 
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
+
+# Import smoke: collect every bench (no run) with the bench options.
+bench-collect:
+	$(PYTHON) -m pytest benchmarks -q --collect-only \
+		-o python_files='bench_*.py' -o python_functions='bench_*' \
+		-p no:cacheprovider
 
 # Paper-figure regeneration (slow). REPRO_BENCH_SCALE scales MC runs.
 bench:

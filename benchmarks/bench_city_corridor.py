@@ -216,9 +216,9 @@ def bench_city_corridor(benchmark, report):
 
     # -- 4: the per-occupied-round counting hot path -------------------
     # CollisionCounter.count dominates each occupied round; its probe
-    # and decision passes share one set of spectra + CFAR floors, and
-    # the refine/fit stages run batched across peaks and captures (a
-    # shared-t0 burst exercises the stacked multi-RHS lstsq).
+    # and decision passes share one set of spectra + CFAR floors, the
+    # refine stage runs all peaks of all captures in one lockstep call,
+    # and the tone fit is one lstsq per capture.
     sim = population_simulator(m=10, seed=77)
     capture = sim.query(0.0).antenna(0)
     burst = [sim.query(0.0).antenna(0) for _ in range(4)]

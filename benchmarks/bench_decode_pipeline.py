@@ -127,13 +127,12 @@ def bench_decode_pipeline(benchmark, report):
             cfos = [p.cfo_hz for p in peaks]
             collision_pool = [simulator.query(i * 1e-3) for i in range(MAX_QUERIES)]
             pool = [collision.antenna(0) for collision in collision_pool]
-            # Profile the sub-bin refine stage the session runs per
-            # target on its first capture. The refined values are
-            # discarded: the decode workload below must consume the
+            # Profile the sub-bin refine stage the session runs for all
+            # targets at once on its first capture. The refined values
+            # are discarded: the decode workload below must consume the
             # coarse peaks, bit-identical to the seed pipeline.
             with timer.phase("refine"):
-                for cfo in cfos:
-                    decoder.refine_cfo(pool[0], cfo)
+                decoder.refine_cfos(pool[0], cfos)
 
             t_seed = t_new = float("inf")
             with timer.phase("decode"):

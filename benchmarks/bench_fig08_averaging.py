@@ -11,7 +11,7 @@ import numpy as np
 
 from bench_helpers import population_simulator
 from conftest import scaled
-from repro.core.cfo import estimate_channel, refine_frequency
+from repro.core.cfo import estimate_channel, refine_frequencies
 from repro.phy.modulation import OokModulator
 
 
@@ -39,7 +39,9 @@ def bench_fig08_averaging(benchmark, report):
             target = collision.truth[int(np.argmax(strengths))]
             cfo0 = target.cfo_hz(collision.lo_hz)
             captures = [simulator.query(i * 1e-3).antenna(0) for i in range(16)]
-            cfo = refine_frequency(captures[0], cfo0, span_hz=977.0)
+            cfo = refine_frequencies(
+                captures[0].samples, captures[0].times(), [cfo0], span_hz=977.0
+            )[0]
             accumulator = np.zeros(captures[0].n_samples, dtype=complex)
             for n, capture in enumerate(captures, start=1):
                 h = estimate_channel(capture, cfo)

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.baselines.bandpass_decoder import BandpassDecoder
 from repro.core import CoherentDecoder, DecodeSession
-from repro.core.cfo import estimate_channel, extract_cfo_peaks, refine_frequency
+from repro.core.cfo import estimate_channel, extract_cfo_peaks, refine_frequencies
 from repro.sim.scenario import parking_scene
 
 
@@ -39,7 +39,9 @@ def main() -> None:
 
     # --- Fig 8: the averaged signal becomes decodable -----------------------
     captures = [simulator.query(i * 1e-3).antenna(0) for i in range(16)]
-    cfo = refine_frequency(captures[0], target.cfo_hz, span_hz=977.0)
+    cfo = refine_frequencies(
+        captures[0].samples, captures[0].times(), [target.cfo_hz], span_hz=977.0
+    )[0]
     accumulator = np.zeros(captures[0].n_samples, dtype=complex)
     print("chip pattern of the compensated accumulation (first 40 chips):")
     for j, capture in enumerate(captures, start=1):

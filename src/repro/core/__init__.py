@@ -19,7 +19,7 @@ from .cfo import (
     estimate_channel,
     extract_cfo_peaks,
     extract_collision_peaks,
-    refine_frequency,
+    refine_frequencies,
 )
 from .counting import BinClass, BinObservation, CollisionCounter, CountEstimate
 from .theory import (
@@ -58,7 +58,7 @@ __all__ = [
     "estimate_channel",
     "extract_cfo_peaks",
     "extract_collision_peaks",
-    "refine_frequency",
+    "refine_frequencies",
     "BinClass",
     "BinObservation",
     "CollisionCounter",

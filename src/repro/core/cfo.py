@@ -5,6 +5,11 @@ find a tag's spike, refine its frequency to a fraction of a bin, and read
 the complex value there — which equals ``h/2``, half the tag's channel
 (Eq 5, using the Manchester DC null). This module packages those steps.
 
+:func:`refine_frequencies` is the one sub-bin refiner in the package:
+the peak readouts below, the counter (on a burst's captures, and again
+on neighbour-cancelled residuals) and the decoder all call it, each
+refining every candidate of a pass in one lockstep call.
+
 Sub-bin refinement matters most to the decoder: a residual CFO error of
 ``delta`` rotates the target by ``2*pi*delta*T`` across the 512 µs
 response; at half a bin (977 Hz) that is a full pi rotation — fatal for
@@ -27,7 +32,7 @@ from ..phy.waveform import Waveform
 __all__ = [
     "CfoPeak",
     "CollisionPeak",
-    "refine_frequency",
+    "refine_frequencies",
     "estimate_channel",
     "estimate_channels",
     "extract_cfo_peaks",
@@ -37,6 +42,9 @@ __all__ = [
 #: Default search band: the 1.2 MHz CFO span plus a small margin.
 DEFAULT_SEARCH_LO_HZ = 2e3
 DEFAULT_SEARCH_HI_HZ = CFO_SPAN_HZ + 50e3
+
+#: Parabolic steps of :func:`refine_frequencies` (the span halves each).
+REFINE_ITERATIONS = 3
 
 
 @dataclass(frozen=True)
@@ -57,41 +65,51 @@ class CfoPeak:
     snr: float
 
 
-def refine_frequency(
-    wave: Waveform,
-    freq_hz: float,
-    span_hz: float,
-    n_iterations: int = 3,
-) -> float:
-    """Refine a tone frequency by iterated parabolic search on |DFT(f)|.
+def refine_frequencies(samples, t, freqs_hz, span_hz: float) -> np.ndarray:
+    """Refine P tone frequencies in lockstep by iterated parabolic search.
 
-    Evaluates the exact single-frequency DFT at ``f - span, f, f + span``,
-    fits a parabola to the magnitudes, jumps to its vertex, and repeats
-    with half the span. Three iterations from a half-bin span land within
-    a few Hz on clean tones. The three probes of each iteration are
-    evaluated in one broadcast pass.
+    The statistic is the magnitude ``|DFT(f)|`` (summed over captures),
+    the §3 readout and what the counter detects on. Each iteration
+    evaluates it at ``f - span, f, f + span``, fits a parabola, jumps to
+    its vertex and halves the span; three iterations from a half-bin span
+    land within a few Hz on clean tones. A parabola through *power*
+    would not: ``sinc^2`` is convex near half a bin off the tone, so a
+    start there walks a full bin away.
+
+    All candidates share the span schedule, so they iterate together;
+    each iteration costs one demodulation per candidate row plus one
+    shared shift (``probe(f +- span) = probe(f) * probe(+-span)``). A
+    candidate whose curvature is zero stops moving while the rest go on.
+    Each candidate's result does not depend on the others.
+
+    Args:
+        samples: ``(K, N)`` captures every candidate is refined on (a
+            lone capture may be ``(N,)``), or ``(P, K, N)`` with one
+            signal per candidate.
+        t: sample times in seconds, broadcastable against ``samples``
+            (``(N,)`` for a shared time base, else ``(K, N)``).
+        freqs_hz: P starting frequencies.
+        span_hz: initial probe offset, normally half a bin.
+
+    Returns:
+        The P refined frequencies.
     """
     if span_hz <= 0:
         raise SpectrumError(f"span must be positive, got {span_hz}")
-    f = float(freq_hz)
+    f = np.array(freqs_hz, dtype=np.float64)
     span = float(span_hz)
-    t = wave.times()
-    scale = 1.0 / max(wave.n_samples, 1)
-    for _ in range(n_iterations):
-        # probe(f +- span) = probe(f) * probe(+-span): two exps serve all
-        # three probe frequencies of this iteration.
-        y = wave.samples * np.exp(-2j * np.pi * f * t)
+    moving = np.ones(f.size, dtype=bool)
+    for _ in range(REFINE_ITERATIONS):
+        y = samples * np.exp(-2j * np.pi * f[:, None, None] * t)
         shift = np.exp(-2j * np.pi * span * t)
-        mags = (
-            abs(np.sum(y * np.conj(shift))) * scale,
-            abs(np.sum(y)) * scale,
-            abs(np.sum(y * shift)) * scale,
+        lo, mid, hi = (
+            np.abs(np.mean(z, axis=-1)).sum(axis=-1)
+            for z in (y * np.conj(shift), y, y * shift)
         )
-        denom = mags[0] - 2.0 * mags[1] + mags[2]
-        if denom == 0.0:
-            break
-        offset = 0.5 * (mags[0] - mags[2]) / denom
-        f += float(np.clip(offset, -1.0, 1.0)) * span
+        denom = lo - 2.0 * mid + hi
+        moving &= denom != 0.0
+        offset = np.divide(0.5 * (lo - hi), denom, out=np.zeros_like(f), where=moving)
+        f = f + np.clip(offset, -1.0, 1.0) * span
         span /= 2.0
     return f
 
@@ -168,7 +186,6 @@ def extract_collision_peaks(
     search_hi_hz: float = DEFAULT_SEARCH_HI_HZ,
     min_snr_db: float = 10.0,
     max_peaks: int | None = None,
-    refine: bool = True,
 ) -> list[CollisionPeak]:
     """Detect spikes across a collision's antennas and read every channel.
 
@@ -183,7 +200,6 @@ def extract_collision_peaks(
         search_lo_hz / search_hi_hz: CFO band to search.
         min_snr_db: detection threshold over the local (CFAR) floor.
         max_peaks: optional cap on returned peaks (strongest kept).
-        refine: skip sub-bin refinement when only occupancy matters.
 
     Returns:
         Peaks sorted by ascending CFO.
@@ -200,25 +216,26 @@ def extract_collision_peaks(
         min_snr_db=min_snr_db,
         max_peaks=max_peaks,
     )
-    peaks = []
-    for peak in raw:
-        freq = peak.freq_hz
-        if refine:
-            strongest = int(np.argmax(magnitudes[:, peak.bin_index]))
-            freq = refine_frequency(
-                collision.antennas[strongest],
-                freq,
-                span_hz=spectra[strongest].resolution_hz / 2.0,
-            )
-        channels = estimate_channels(collision.antennas, freq)
-        peaks.append(
-            CollisionPeak(
-                cfo_hz=freq,
-                channels=channels,
-                magnitude=peak.magnitude,
-                snr=peak.snr,
-            )
+    if not raw:
+        return []
+    strongest = [
+        collision.antennas[int(np.argmax(magnitudes[:, peak.bin_index]))] for peak in raw
+    ]
+    freqs = refine_frequencies(
+        np.stack([wave.samples for wave in strongest])[:, None, :],
+        np.stack([wave.times() for wave in strongest])[:, None, :],
+        [peak.freq_hz for peak in raw],
+        span_hz=spectra[0].resolution_hz / 2.0,
+    )
+    peaks = [
+        CollisionPeak(
+            cfo_hz=float(freq),
+            channels=estimate_channels(collision.antennas, freq),
+            magnitude=peak.magnitude,
+            snr=peak.snr,
         )
+        for freq, peak in zip(freqs, raw)
+    ]
     return sorted(peaks, key=lambda p: p.cfo_hz)
 
 
@@ -228,7 +245,6 @@ def extract_cfo_peaks(
     search_hi_hz: float = DEFAULT_SEARCH_HI_HZ,
     min_snr_db: float = 10.0,
     max_peaks: int | None = None,
-    refine: bool = True,
 ) -> list[CfoPeak]:
     """Full pipeline: FFT -> detect spikes -> refine -> read channels.
 
@@ -237,7 +253,6 @@ def extract_cfo_peaks(
         search_lo_hz / search_hi_hz: CFO band to search.
         min_snr_db: detection threshold over the local (CFAR) floor.
         max_peaks: optional cap on returned peaks (strongest kept).
-        refine: skip sub-bin refinement when only occupancy matters.
 
     Returns:
         Peaks sorted by ascending CFO.
@@ -246,17 +261,19 @@ def extract_cfo_peaks(
     raw = find_spectral_peaks(
         spectrum, search_lo_hz, search_hi_hz, min_snr_db=min_snr_db, max_peaks=max_peaks
     )
-    peaks = []
-    for peak in raw:
-        freq = peak.freq_hz
-        if refine:
-            freq = refine_frequency(wave, freq, span_hz=spectrum.resolution_hz / 2.0)
-        peaks.append(
-            CfoPeak(
-                cfo_hz=freq,
-                channel=estimate_channel(wave, freq),
-                magnitude=peak.magnitude,
-                snr=peak.snr,
-            )
+    freqs = refine_frequencies(
+        wave.samples,
+        wave.times(),
+        [peak.freq_hz for peak in raw],
+        span_hz=spectrum.resolution_hz / 2.0,
+    )
+    peaks = [
+        CfoPeak(
+            cfo_hz=float(freq),
+            channel=estimate_channel(wave, freq),
+            magnitude=peak.magnitude,
+            snr=peak.snr,
         )
+        for freq, peak in zip(freqs, raw)
+    ]
     return sorted(peaks, key=lambda p: p.cfo_hz)

@@ -58,7 +58,7 @@ from ..dsp.spectrum import fft_spectrum
 from ..errors import ConfigurationError
 from ..phy.waveform import Waveform
 from ..utils import as_rng
-from .cfo import DEFAULT_SEARCH_HI_HZ, DEFAULT_SEARCH_LO_HZ
+from .cfo import DEFAULT_SEARCH_HI_HZ, DEFAULT_SEARCH_LO_HZ, refine_frequencies
 
 __all__ = ["BinClass", "BinObservation", "CountEstimate", "CollisionCounter"]
 
@@ -249,8 +249,9 @@ class CollisionCounter:
         """Estimate the tag count from one burst of repeated queries.
 
         All captures must view the same (static over the ~10 ms burst)
-        scene; tags keep their CFOs but re-randomize their phases, which
-        the per-spike statistics align out.
+        scene and have the same length and rate (their start times may
+        differ); tags keep their CFOs but re-randomize their phases,
+        which the per-spike statistics align out.
         """
         if not waves:
             raise ConfigurationError("need at least one capture")
@@ -371,8 +372,11 @@ class CollisionCounter:
                 count=0, observations=[], dense_mode=dense_mode, n_captures=len(waves)
             )
 
-        refined_freqs = self._refine_multi_batch(
-            waves, np.array([p.freq_hz for p in raw_peaks]), bin_hz / 2.0
+        refined_freqs = refine_frequencies(
+            np.stack([w.samples for w in waves]),
+            np.stack([w.times() for w in waves]),
+            [p.freq_hz for p in raw_peaks],
+            bin_hz / 2.0,
         )
         refined = [
             (float(freq), p.snr, p.floor)
@@ -391,7 +395,7 @@ class CollisionCounter:
         # tone on the neighbour-cancelled residual removes the bias.
         freqs = self._joint_refine(waves[0], freqs, bin_hz)
 
-        per_capture = self._fit_tones_burst(waves, freqs)
+        per_capture = [self._fit_tones(w, freqs) for w in waves]
         # Sub-window values per capture, other tones cancelled, phases
         # aligned on each capture's own fitted amplitude.
         aligned_values = self._aligned_subwindow_values(waves, freqs, per_capture)
@@ -489,73 +493,25 @@ class CollisionCounter:
     def _joint_refine(
         self, wave: Waveform, freqs: np.ndarray, bin_hz: float
     ) -> np.ndarray:
-        """One coordinate-descent pass of neighbour-cancelled refinement."""
-        if freqs.size < 2:
-            return freqs
-        # Only peaks with a close neighbour re-refine; the joint fit that
-        # feeds the cancellation is deferred until the first one, so
-        # well-separated scenes (most occupied rounds) skip the tone
-        # fit entirely.
-        amplitudes = probes = None
-        refined = freqs.copy()
-        for k in range(freqs.size):
-            # Only bother when a neighbour sits close enough to bias us.
-            gaps = np.abs(np.delete(freqs, k) - freqs[k])
-            if gaps.min() > 6.0 * bin_hz:
-                continue
-            if amplitudes is None:
-                amplitudes, probes = self._fit_tones(wave, freqs)
-            others = np.delete(np.arange(freqs.size), k)
-            residual = wave.samples - (amplitudes[others][:, None] * probes[others].conj()).sum(axis=0)
-            residual_wave = Waveform(residual, wave.sample_rate_hz, wave.t0_s)
-            refined[k] = _parabolic_refine(residual_wave, freqs[k], bin_hz / 2.0)
-        return refined
+        """One pass of neighbour-cancelled refinement.
 
-    def _refine_multi_batch(
-        self, waves: list[Waveform], freqs_hz: np.ndarray, span_hz: float
-    ) -> np.ndarray:
-        """Refine every candidate's frequency in one vectorized sweep.
-
-        As in :func:`~repro.core.cfo.refine_frequency`, each iteration's
-        three probe frequencies share two complex exponentials
-        (``probe(f +- span) = probe(f) * probe(+-span)``); on top of
-        that, all P candidates iterate in lockstep (the span schedule is
-        frequency-independent), so one iteration costs a single
-        ``(P, N)`` demodulation per capture plus one shared shift
-        exponential — instead of P separate Python-loop passes.
-        Arithmetic is element-for-element the per-peak recursion, so the
-        refined frequencies are bit-identical to the scalar loop; a
-        candidate whose curvature denominator hits zero freezes (the
-        scalar loop's ``break``) while the others keep iterating.
+        Only peaks with a neighbour within 6 bins re-refine, each on the
+        capture minus every *other* tone of one joint fit; well-separated
+        scenes (most occupied rounds) skip the tone fit entirely.
         """
-        f = np.array(freqs_hz, dtype=np.float64)
-        if f.size == 0:
-            return f
-        span = float(span_hz)
-        times = [wave.times() for wave in waves]
-        active = np.ones(f.size, dtype=bool)
-        for _ in range(3):
-            mags = np.zeros((3, f.size))
-            for wave, t in zip(waves, times):
-                y = wave.samples[None, :] * np.exp(
-                    -2j * np.pi * f[:, None] * t[None, :]
-                )
-                shift = np.exp(-2j * np.pi * span * t)
-                # Builtin abs (C hypot), not np.abs (npy_cabs): the two
-                # differ by one ulp on some inputs, and bit-identity with
-                # the per-peak recursion requires the former. P is small,
-                # so the Python-level loop costs nothing next to the
-                # (P, N) demodulation above.
-                mags[0] += _abs_sq(np.mean(y * np.conj(shift)[None, :], axis=1))
-                mags[1] += _abs_sq(np.mean(y, axis=1))
-                mags[2] += _abs_sq(np.mean(y * shift[None, :], axis=1))
-            denom = mags[0] - 2.0 * mags[1] + mags[2]
-            active = active & (denom != 0.0)
-            offset = np.zeros(f.size)
-            offset[active] = 0.5 * (mags[0, active] - mags[2, active]) / denom[active]
-            f = f + np.where(active, np.clip(offset, -1.0, 1.0) * span, 0.0)
-            span /= 2.0
-        return f
+        gaps = np.abs(freqs[:, None] - freqs[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        close = gaps.min(axis=1) <= 6.0 * bin_hz
+        if not close.any():
+            return freqs
+        amplitudes, probes = self._fit_tones(wave, freqs)
+        tones = amplitudes[:, None] * probes.conj()
+        residuals = wave.samples - tones.sum(axis=0) + tones[close]
+        refined = freqs.copy()
+        refined[close] = refine_frequencies(
+            residuals[:, None, :], wave.times(), freqs[close], bin_hz / 2.0
+        )
+        return refined
 
     def _merge_candidates(
         self, refined: list[tuple[float, float, float]], resolution_hz: float
@@ -588,43 +544,6 @@ class CollisionCounter:
         basis = probes.conj().T  # (N, m)
         amplitudes, *_ = np.linalg.lstsq(basis, wave.samples, rcond=None)
         return amplitudes, probes
-
-    def _fit_tones_burst(
-        self, waves: list[Waveform], freqs: np.ndarray
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """:meth:`_fit_tones` for a whole burst, one stacked solve.
-
-        Captures of one burst re-query the same static scene, so they
-        share the time base (length, rate, start offset) and therefore
-        the probe basis. Stacking their samples as the columns of a
-        single multi-RHS least squares replaces K ``lstsq`` calls (and
-        K basis constructions — the dominant cost, ``m*N`` complex
-        exponentials each) with one. Up to 25 tones LAPACK's ``gelsd``
-        solves multi-RHS columns through the same code path as a lone
-        RHS, so each capture's amplitudes are bit-identical to its own
-        per-capture solve; at 26+ columns the divide-and-conquer kernel
-        (SMLSIZ = 25) blocks the RHS application differently and drifts
-        by an ulp, so wider bases — and bursts whose captures disagree
-        on the time base — fall back to the per-capture loop.
-        """
-        first = waves[0]
-        if (
-            len(waves) == 1
-            or freqs.size > 25
-            or any(
-                w.n_samples != first.n_samples
-                or w.sample_rate_hz != first.sample_rate_hz
-                or w.t0_s != first.t0_s
-                for w in waves[1:]
-            )
-        ):
-            return [self._fit_tones(w, freqs) for w in waves]
-        t = first.times()
-        probes = np.exp(-2j * np.pi * freqs[:, None] * t[None, :])
-        basis = probes.conj().T  # (N, m)
-        stacked = np.stack([w.samples for w in waves], axis=1)  # (N, K)
-        amplitudes, *_ = np.linalg.lstsq(basis, stacked, rcond=None)
-        return [(amplitudes[:, k], probes) for k in range(len(waves))]
 
     def _aligned_subwindow_values(
         self,
@@ -757,33 +676,6 @@ class CollisionCounter:
         if worst <= SHIFT_TOLERANCE:
             return BinClass.SINGLE, _stats(np.nan, 1.0, 1.0, worst)
         return BinClass.MULTIPLE, _stats(np.nan, 0.0, 1.0, worst)
-
-
-def _abs_sq(values: np.ndarray) -> np.ndarray:
-    """``abs(v) ** 2`` per element via the builtin (C ``hypot``) path."""
-    return np.array([abs(v) ** 2 for v in values])
-
-
-def _parabolic_refine(wave: Waveform, freq_hz: float, span_hz: float) -> float:
-    """Iterated parabolic |DFT| maximization (local copy avoids the
-    counting -> cfo -> counting import cycle for this one helper)."""
-    t = wave.times()
-    f, span = float(freq_hz), float(span_hz)
-    for _ in range(3):
-        # One (3, N) demodulation instead of three 1-D passes; builtin
-        # abs keeps each probe magnitude bit-identical to the scalar
-        # form (same hypot path, see _abs_sq).
-        probes = np.exp(
-            -2j * np.pi * (f + np.array([-span, 0.0, span]))[:, None] * t[None, :]
-        )
-        mags = [abs(v) for v in np.mean(wave.samples[None, :] * probes, axis=1)]
-        denom = mags[0] - 2.0 * mags[1] + mags[2]
-        if denom == 0.0:
-            break
-        offset = 0.5 * (mags[0] - mags[2]) / denom
-        f += float(np.clip(offset, -1.0, 1.0)) * span
-        span /= 2.0
-    return f
 
 
 def _stats(gamma: float, coherence: float, expected: float, dispersion: float) -> dict:

@@ -69,7 +69,7 @@ from ..errors import ConfigurationError, CrcError, DecodingError, ModulationErro
 from ..phy.modulation import OokModulator
 from ..phy.packet import TransponderPacket
 from ..phy.waveform import Waveform
-from .cfo import estimate_channel, refine_frequency
+from .cfo import estimate_channel, refine_frequencies
 
 __all__ = ["DecodeResult", "CoherentDecoder", "MultiTargetCombiner", "DecodeSession"]
 
@@ -175,7 +175,6 @@ class CoherentDecoder:
         self,
         captures: list[Waveform],
         target_cfo_hz: float,
-        refine: bool = True,
         min_queries: int = 1,
     ) -> DecodeResult:
         """Decode by accumulating captures until the packet checks out.
@@ -189,8 +188,8 @@ class CoherentDecoder:
         Args:
             captures: single-antenna captures, one per query, all aligned
                 to their response start.
-            target_cfo_hz: the target's spike frequency (from counting).
-            refine: sub-bin refine the CFO on the first capture.
+            target_cfo_hz: the target's spike frequency (from counting),
+                sub-bin refined on the first capture before combining.
             min_queries: don't attempt demodulation before this many.
 
         Returns:
@@ -199,9 +198,7 @@ class CoherentDecoder:
         """
         if not captures:
             raise DecodingError("no captures supplied")
-        cfo = target_cfo_hz
-        if refine:
-            cfo = self.refine_cfo(captures[0], cfo)
+        cfo = float(self.refine_cfos(captures[0], [target_cfo_hz])[0])
         accumulator = np.zeros(captures[0].n_samples, dtype=np.complex128)
         for j, capture in enumerate(captures, start=1):
             accumulator += self._compensated(capture, cfo)
@@ -216,10 +213,13 @@ class CoherentDecoder:
             packet=None, n_queries=len(captures), cfo_hz=cfo, query_period_s=self.query_period_s
         )
 
-    def refine_cfo(self, capture: Waveform, cfo_hz: float) -> float:
-        """Sub-bin refine a spike frequency on one capture (§3)."""
-        return refine_frequency(
-            capture, cfo_hz, span_hz=capture.sample_rate_hz / capture.n_samples / 2.0
+    def refine_cfos(self, capture: Waveform, cfos_hz) -> np.ndarray:
+        """Sub-bin refine spike frequencies on one capture (§3), together."""
+        return refine_frequencies(
+            capture.samples,
+            capture.times(),
+            cfos_hz,
+            span_hz=capture.sample_rate_hz / capture.n_samples / 2.0,
         )
 
     # -- internals ---------------------------------------------------------------
@@ -804,7 +804,7 @@ class DecodeSession:
                     combining=self.combining,
                     obs=self.obs,
                 )
-            refined = [self.decoder.refine_cfo(first, cfo) for cfo in fresh]
+            refined = self.decoder.refine_cfos(first, fresh)
             for cfo, key in zip(fresh, self._combiner.add_targets(refined)):
                 self._target_keys[cfo] = key
         return [self._target_keys[cfo] for cfo in target_cfos_hz]

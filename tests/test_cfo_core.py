@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.channel.antenna import TriangleArray
 from repro.channel.collision import StaticCollisionSimulator
@@ -10,7 +11,7 @@ from repro.core.cfo import (
     estimate_channel,
     estimate_channels,
     extract_cfo_peaks,
-    refine_frequency,
+    refine_frequencies,
 )
 from repro.dsp.spectrum import single_bin_dft
 from repro.errors import SpectrumError
@@ -20,31 +21,74 @@ from tests.conftest import make_tag
 FS = 4e6
 
 
+def refine_one(wave, freq, span_hz=977.0):
+    """Refine one start frequency on one capture."""
+    return float(refine_frequencies(wave.samples, wave.times(), [freq], span_hz)[0])
+
+
 class TestRefineFrequency:
     def test_on_grid_tone(self):
         wave = Waveform.tone(400e3, 512e-6, FS)
-        assert refine_frequency(wave, 400e3 + 500, span_hz=977.0) == pytest.approx(
-            400e3, abs=20.0
-        )
+        assert refine_one(wave, 400e3 + 500) == pytest.approx(400e3, abs=20.0)
 
     def test_off_grid_tone(self):
         freq = 517_321.0
         wave = Waveform.tone(freq, 512e-6, FS)
-        start = freq + 800.0
-        assert refine_frequency(wave, start, span_hz=977.0) == pytest.approx(freq, abs=20.0)
+        assert refine_one(wave, freq + 800.0) == pytest.approx(freq, abs=20.0)
 
     def test_with_noise(self):
         rng = np.random.default_rng(0)
         freq = 612_345.0
         wave = Waveform.tone(freq, 512e-6, FS, amplitude=1.0)
         noisy = Waveform(wave.samples + 0.05 * rng.normal(size=2048), FS)
-        assert refine_frequency(noisy, freq + 700, span_hz=977.0) == pytest.approx(
-            freq, abs=100.0
-        )
+        assert refine_one(noisy, freq + 700) == pytest.approx(freq, abs=100.0)
 
     def test_bad_span_rejected(self):
         with pytest.raises(SpectrumError):
-            refine_frequency(Waveform.silence(1e-4, FS), 1e3, span_hz=0.0)
+            refine_one(Waveform.silence(1e-4, FS), 1e3, span_hz=0.0)
+
+    def test_no_candidates(self):
+        wave = Waveform.tone(400e3, 512e-6, FS)
+        assert refine_frequencies(wave.samples, wave.times(), [], 977.0).size == 0
+
+    @pytest.mark.parametrize("offset_bins", [-0.5, -0.45, -0.2, 0.0, 0.3, 0.45, 0.5])
+    def test_clean_tone_converges_from_anywhere_within_half_a_bin(self, offset_bins):
+        """Magnitude, not power: sinc^2 is convex near half a bin off the
+        tone, so a power parabola started there walks a bin away."""
+        freq = 517_321.0
+        wave = Waveform.tone(freq, 512e-6, FS)
+        bin_hz = FS / wave.n_samples
+        start = freq + offset_bins * bin_hz
+        assert refine_one(wave, start, bin_hz / 2.0) == pytest.approx(freq, abs=0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=20e3, max_value=1.2e6), min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_lockstep_equals_one_at_a_time(self, starts, n_captures, seed):
+        """P candidates refined together on shared (K, N) captures land
+        exactly where each lands refined alone."""
+        rng = np.random.default_rng(seed)
+        n = 512
+        samples = rng.normal(size=(n_captures, n)) + 1j * rng.normal(size=(n_captures, n))
+        for f in rng.uniform(20e3, 1.2e6, size=3):
+            samples += 3.0 * np.exp(2j * np.pi * f * np.arange(n) / FS)
+        t = (np.arange(n) + rng.integers(0, 1000, size=(n_captures, 1))) / FS
+        together = refine_frequencies(samples, t, starts, FS / n / 2.0)
+        alone = [refine_frequencies(samples, t, [f], FS / n / 2.0)[0] for f in starts]
+        assert np.array_equal(together, np.array(alone))
+
+    def test_per_candidate_signals(self):
+        """(P, K, N) samples: each candidate refines on its own row."""
+        freqs = (312_000.0, 845_500.0)
+        waves = [Waveform.tone(f, 512e-6, FS) for f in freqs]
+        samples = np.stack([w.samples for w in waves])[:, None, :]
+        starts = [f + 600.0 for f in freqs]
+        refined = refine_frequencies(samples, waves[0].times(), starts, 977.0)
+        assert refined == pytest.approx(freqs, abs=20.0)
+        assert refined[0] == refine_one(waves[0], starts[0])
 
 
 class TestEstimateChannel:
@@ -152,10 +196,3 @@ class TestExtractCfoPeaks:
         peaks = extract_cfo_peaks(sim.query(0.0).antenna(0), min_snr_db=15)
         cfos = [p.cfo_hz for p in peaks]
         assert cfos == sorted(cfos)
-
-    def test_refine_can_be_disabled(self):
-        tag = make_tag(502e3, seed=8)
-        array = TriangleArray.street_pole(np.array([0.0, 0.0, 3.8]))
-        sim = StaticCollisionSimulator([tag], array.positions_m, LosChannel(), rng=5)
-        peaks = extract_cfo_peaks(sim.query(0.0).antenna(0), min_snr_db=15, refine=False)
-        assert len(peaks) == 1

@@ -108,7 +108,7 @@ def count_demod_attempts(decoder):
 def combine_single(decoder, captures, cfos, min_queries=1):
     """Batch-decode single-antenna captures through one combiner."""
     combiner = MultiTargetCombiner(decoder, captures[0].n_samples, combining="single")
-    keys = combiner.add_targets([decoder.refine_cfo(captures[0], cfo) for cfo in cfos])
+    keys = combiner.add_targets(decoder.refine_cfos(captures[0], cfos))
     combiner.advance(keys, captures, len(captures), min_queries=min_queries)
     return {cfo: combiner.result(key) for cfo, key in zip(cfos, keys)}
 

@@ -16,10 +16,12 @@ corridor and the sharded mesh:
   rounds over the parking scene of ``examples/reader_network.py`` (the
   round-based driver for static ``query_fn`` streams).
 
-The corridor and grid digests were captured before the per-round
-kernels were vectorised, the network digest before both station engines
-shared one localizer loop; any change that moves them changes the
-simulation's output.
+The grid digest was captured before the per-round kernels were
+vectorised. The corridor and network digests were re-captured when the
+counter, the decoder and the peak readouts moved onto one sub-bin
+refiner (magnitude, not power, statistic): the corridor then resolves
+one more close tag pair, and the network's refined CFOs move by at most
+0.14 Hz. Any change that moves a digest changes the simulation's output.
 """
 
 from __future__ import annotations
@@ -35,16 +37,16 @@ from repro.sim.scenario import corridor_scene
 from tests.test_city_corridor import small_corridor
 
 CORRIDOR_LEDGER_SHA256 = (
-    "be588fcfdcd02d1e57fed6c36c555dc56369b0c74ddbe7d2d490230a8031444c"
+    "3abd8734eb23f77631b69b5db88541d090d2cf280ce58ed724c21ba591198492"
 )
 CORRIDOR_SIGHTINGS_SHA256 = (
-    "721fa4ecac8473375ffede6e750117a7a566bed5c389466a2614a7859f7664fd"
+    "33769d6bba9e0aa49837e36ffa1da8b5fb7cdc8bce6b072c22457b6429697363"
 )
 GRID_SUMMARY_SHA256 = (
     "dfd82d60df953d7a854661085a19537da2e781d8084a31c837c79c19a9ff4989"
 )
 READER_NETWORK_SHA256 = (
-    "91a22bc2b894796ed6312d46e6d69e7b1c623e674427cf941f37a8bc52b39335"
+    "21ca0a8214830f05883af4883740a2b206f86fc8b7c6520a3ecec0b195887c4c"
 )
 LEDGER_FIELDS = ("t_s", "station", "kind", "cfo_hz", "tag_id", "from_station", "n_queries")
 
